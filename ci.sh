@@ -54,6 +54,11 @@
 #                    replay suite. Timeout-bounded by construction — the
 #                    watchdog exists so stalls fail fast instead of
 #                    hanging.
+#   ./ci.sh perfbench
+#                    wall-clock benchmark build + smoke: perfbench has its
+#                    own [workspace], so no other job compiles it; build it
+#                    and run each BENCHMARK.json workload traced for 30 s.
+#                    Any failed output check exits non-zero.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -257,8 +262,22 @@ case "$job" in
 
     echo "Watchdog gate green."
     ;;
+  perfbench)
+    # An API change in gasnex/upcr can break the benchmark unseen, because
+    # `cargo build --workspace` never reaches it. Runs shorter than 30 s
+    # are avoided: a traced child can be left with no latency samples.
+    echo "==> cargo build --release --manifest-path perfbench/Cargo.toml"
+    cargo build --offline --release -q --manifest-path perfbench/Cargo.toml
+    for w in onnode_eager onnode_defer offnode_eager; do
+      echo "==> perfbench --workload $w --seed 1 --seconds 30 --trace 1"
+      timeout 300 cargo run --offline --release -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 30 --trace 1
+    done
+
+    echo "Perfbench smoke green."
+    ;;
   *)
-    echo "unknown job: $job (expected tier1, chaos, trace, bench, conduit, signals, causal, continuations, or watchdog)" >&2
+    echo "unknown job: $job (expected tier1, chaos, trace, bench, conduit, signals, causal, continuations, watchdog, or perfbench)" >&2
     exit 2
     ;;
 esac

@@ -7,7 +7,7 @@
 //!
 //! * **Registry** — every observable scalar registers here with a name and
 //!   a class. The set is not hand-maintained: [`descs`] derives it from
-//!   [`StatsSnapshot::FIELDS`] (generated by the `per_rank_stats!` macro),
+//!   [`StatsSnapshot::FIELDS`] (generated by the `gasnex::stats_fields!` macro),
 //!   [`gasnex::NetStats::FIELDS`], and a small list of live queue-depth
 //!   gauges, so adding a counter in either source automatically registers
 //!   it. Latency histograms register alongside at export time (they are

@@ -34,7 +34,7 @@ pub struct RuntimeConfig {
     /// deterministically and are bounded by quiescence instead.
     pub watchdog_ms: u64,
     /// Spawn one background progress thread per simulated node, driving
-    /// `Conduit::poll`, coalescer age-flushes, and continuation-callback
+    /// `NetCore::poll`, coalescer age-flushes, and continuation-callback
     /// drains on a parked-condvar cadence (woken by injections and
     /// callback enqueues). Strict no-op — not even spawned — under
     /// [`gasnex::ClockMode::Virtual`], so every chaos/differential
@@ -741,7 +741,7 @@ impl Upcr {
     ///
     /// While enabled, the end of each progress quantum records — at most
     /// once per sampling interval of the simulated clock — a snapshot of
-    /// every registered metric (the `per_rank_stats!` counters, live
+    /// every registered metric (the `stats_fields!` per-rank counters, live
     /// queue-depth gauges, and the shared network counters) into a bounded
     /// ring. Under [`gasnex::ClockMode::Virtual`] the series is
     /// deterministic for a single-threaded drive. Disabled-mode overhead

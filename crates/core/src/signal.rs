@@ -420,7 +420,7 @@ mod tests {
     #[test]
     fn signal_counters_cover_reset() {
         // Regression (mirrors the PR-4 reset-coverage fix): the new signal
-        // counters live in the per_rank_stats! declaration, so
+        // counters live in the stats_fields! declaration, so
         // `reset_stats` must zero all of them.
         launch(RuntimeConfig::smp(2).with_segment_size(1 << 14), |u| {
             let mine = u.new_::<u64>(0);

@@ -10,7 +10,7 @@
 //! are recorded into a per-rank fixed-capacity [`ring::Ring`].
 //!
 //! Timestamps come from the simulated network's clock
-//! ([`gasnex::Conduit::now_ns`]): wall nanoseconds under
+//! ([`gasnex::NetCore::now_ns`]): wall nanoseconds under
 //! [`gasnex::ClockMode::Wall`], the logical time-warp counter under
 //! [`gasnex::ClockMode::Virtual`] — so chaos traces are bit-replayable.
 //!

@@ -4,7 +4,7 @@
 //! fine-grained remote atomics; the standard PGAS remedy is sender-side
 //! coalescing. This module packs fine-grained puts and non-fetching
 //! atomics headed for the same target into one batch message on the
-//! [`Conduit`], while preserving completion semantics exactly: each
+//! [`NetCore`], while preserving completion semantics exactly: each
 //! constituent op keeps its own completion object (and trace span — the
 //! `tag` threaded through [`Coalescer::push`]), and the batch's single
 //! delivery action fans out to the constituents in push order.
@@ -41,7 +41,7 @@ use std::mem;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::conduit::Conduit;
+use crate::conduit::NetCore;
 use crate::net::NetAction;
 use crate::rank::Rank;
 
@@ -208,12 +208,12 @@ impl<T: Copy> Coalescer<T> {
     /// Buffer `action` for `target`, flushing on the size threshold or
     /// bypassing a closed buffer. `tag` rides along so the caller can
     /// correlate each op with the batch message that carried it.
-    pub fn push(&mut self, target: usize, action: NetAction, tag: T, net: &dyn Conduit) -> Push<T> {
+    pub fn push(&mut self, target: usize, action: NetAction, tag: T, net: &NetCore) -> Push<T> {
         let route = Some((self.me, Rank(target as u32)));
         let b = &mut self.buckets[target];
         if b.ops.is_empty() && b.inflight.load(Ordering::SeqCst) >= self.cfg.max_inflight {
             return Push::Bypassed {
-                msg: net.inject_to(route, action),
+                msg: net.inject_to(route, action, false),
             };
         }
         if b.ops.is_empty() {
@@ -234,7 +234,7 @@ impl<T: Copy> Coalescer<T> {
     fn flush_bucket(
         b: &mut Bucket<T>,
         route: Option<(Rank, Rank)>,
-        net: &dyn Conduit,
+        net: &NetCore,
         reason: FlushReason,
     ) -> Batch<T> {
         let buffered = mem::take(&mut b.ops);
@@ -251,6 +251,7 @@ impl<T: Copy> Coalescer<T> {
                 }
                 inflight.fetch_sub(1, Ordering::SeqCst);
             }),
+            false,
         );
         net.note_batch(k as u64, reason);
         Batch {
@@ -263,7 +264,7 @@ impl<T: Copy> Coalescer<T> {
 
     /// Flush every bucket whose oldest op has aged past `max_age_ns` on
     /// the network clock (all non-empty buckets when the timeout is 0).
-    pub fn flush_due(&mut self, net: &dyn Conduit) -> Vec<Batch<T>> {
+    pub fn flush_due(&mut self, net: &NetCore) -> Vec<Batch<T>> {
         let now = net.now_ns();
         let me = self.me;
         let mut out = Vec::new();
@@ -277,7 +278,7 @@ impl<T: Copy> Coalescer<T> {
     }
 
     /// Flush every non-empty bucket regardless of age.
-    pub fn flush_all(&mut self, net: &dyn Conduit, reason: FlushReason) -> Vec<Batch<T>> {
+    pub fn flush_all(&mut self, net: &NetCore, reason: FlushReason) -> Vec<Batch<T>> {
         let me = self.me;
         let mut out = Vec::new();
         for (target, b) in self.buckets.iter_mut().enumerate() {

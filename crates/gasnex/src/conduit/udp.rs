@@ -3,11 +3,11 @@
 //! One nonblocking `std::net::UdpSocket` is bound per simulated node
 //! (127.0.0.1, ephemeral port); ranks stay threads, but every cross-node
 //! delivery is carried by an actual datagram through the kernel's loopback
-//! path. The reliability machinery is the same design the simulator
-//! models — sender-side retransmission with bounded exponential backoff,
-//! receiver-side dedup — run over a wire that can genuinely drop (socket
-//! buffer overflow) and reorder, so delivering the same digests as the
-//! simulator is evidence the runtime above is transport-independent.
+//! path. The reliability machinery is the core's, shared with the
+//! simulator — fates, bounded backoff, park/take dedup, Lamport stamps —
+//! run over a wire that can genuinely drop (socket buffer overflow) and
+//! reorder, so delivering the same digests as the simulator is evidence the
+//! runtime above is transport-independent.
 //!
 //! # Wire protocol
 //!
@@ -16,18 +16,17 @@
 //! ```text
 //! [0]      magic      0xC7
 //! [1]      kind       1 = DATA, 2 = ACK, 3 = SIGNAL
-//! [2..10]  msg  u64   logical message id (Conduit::inject_to return)
+//! [2..10]  msg  u64   logical message id (NetCore::inject_to return)
 //! [10..14] attempt u32 transmission attempt, 0-based
 //! [14..18] src_node u32 sender's node index (ACK destination)
 //! [18..26] lclock u64 sender's Lamport stamp (causal tracing; 0 untraced)
 //! ```
 //!
-//! The `lclock` field (the PR-9 frame-format bump from 18 to 26 bytes) is
-//! the sender's logical clock at injection, constant across
-//! retransmissions — the resend is the same logical send. The receiver
-//! merges it into the destination rank's clock (`max(local, remote) + 1`)
-//! before executing the parked action, so causal stamps cross the real
-//! wire the same way they cross the simulator.
+//! The `lclock` field is the sender's logical clock at injection, constant
+//! across retransmissions — the resend is the same logical send. The
+//! receiver merges it into the destination rank's clock before executing
+//! the parked action, so causal stamps cross the real wire the same way
+//! they cross the simulator.
 //!
 //! A SIGNAL frame is a DATA frame whose parked action carries a
 //! notification badge (put/amo-with-signal): it rides the identical
@@ -35,7 +34,7 @@
 //! exactly once per signal op no matter what the wire did to the frame.
 //!
 //! A DATA frame carries no payload bytes: delivery actions are closures and
-//! cannot cross the wire, so the action is parked in a shared table keyed by
+//! cannot cross the wire, so the action is parked in the core keyed by
 //! `msg` before the datagram is sent, and the frame's arrival is what
 //! triggers its execution. What the wire proves is therefore the *control*
 //! path — which messages complete, when, in what order, after how many
@@ -45,42 +44,41 @@
 //!
 //! # Reliability
 //!
-//! * The sender records every transmission in `unacked` with a
-//!   retransmission deadline. Deadline passes without an ACK → resend with
-//!   `attempt + 1` and a backoff doubled up to the plan's cap (counted in
-//!   `retries`).
-//! * The receiver executes a DATA frame's action iff `msg` is still in the
-//!   payload table; taking the entry out *is* the dedup — a retransmitted
-//!   or duplicated frame finds the table empty, is counted as
-//!   `dup_suppressed`, and is re-ACKed (the original ACK may have been the
-//!   lost packet). No unbounded seen-set is needed.
+//! * The sender arms every transmission in `unacked` with a retransmission
+//!   deadline *before* the frame reaches the kernel, so an ACK processed by
+//!   a concurrent poller always finds the flight to retire. Deadline passes
+//!   without an ACK → resend with `attempt + 1` and the core's doubled
+//!   backoff (counted in `retries`).
+//! * The receiver takes the payload out of the core's parked table on
+//!   arrival; that removal *is* the dedup — a retransmitted or duplicated
+//!   frame finds the table empty, is counted as `dup_suppressed`, and is
+//!   re-ACKed (the original ACK may have been the lost packet).
 //! * An ACK removes the `unacked` entry. ACKs are not themselves acked;
 //!   a lost ACK surfaces as a retransmission plus a suppressed dup.
+//! * `pending` counts undelivered messages: a suppressed frame changes
+//!   nothing.
 //!
 //! # Fault injection on a real wire
 //!
 //! Only the fates that real packet handling can express are supported:
 //! deliberate **drops** (skip the `send_to`; the retransmission path
 //! recovers, same as the simulator's timer) and **duplicates** (send the
-//! frame twice; receiver dedup suppresses one). Both use the same seeded
-//! `mix(msg, attempt, salt)` fates as `SimNetwork`. Reorder/burst/partition
-//! schedules and the virtual clock require owning time, which a kernel
-//! socket does not allow — [`crate::config::GasnexConfig::validate`]
-//! rejects those knobs for this transport, and the constructor enforces the
-//! same contract for direct users.
+//! frame twice; receiver dedup suppresses one), both decided by the core's
+//! seeded fate step. Reorder/burst/partition schedules and the virtual
+//! clock require owning time, which a kernel socket does not allow —
+//! [`crate::config::GasnexConfig::validate`] rejects those knobs for this
+//! transport, and the constructor enforces the same contract for direct
+//! users.
 
 use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::clock::LamportClocks;
-use crate::conduit::{Conduit, ConduitCounters, InFlight};
-use crate::config::{ClockMode, FaultPlan, NetConfig};
-use crate::net::{ppm, splitmix64, NetAction, NetEventKind, NetStats, NetTraceEvent};
-use crate::rank::Rank;
+use crate::conduit::{Conduit, Fate, Header, InFlight, NetCore};
+use crate::config::{ClockMode, NetConfig};
+use crate::net::NetAction;
 use crate::world::World;
 
 const MAGIC: u8 = 0xC7;
@@ -89,12 +87,12 @@ const KIND_ACK: u8 = 2;
 const KIND_SIGNAL: u8 = 3;
 const FRAME_LEN: usize = 26;
 
-/// Retransmission timer when no fault plan supplies one: loopback RTT is
-/// tens of microseconds, so 2 ms only fires on genuine kernel-level loss.
-const DEFAULT_RTO_NS: u64 = 2_000_000;
-const DEFAULT_MAX_BACKOFF_NS: u64 = 64_000_000;
+/// Frames taken from one socket per poll. A continuous stream into one
+/// socket must not starve the others: their ACKs would overflow the kernel
+/// receive buffer and come back as spurious retransmissions.
+const DRAIN_BATCH: usize = 64;
 
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Frame {
     kind: u8,
     msg: u64,
@@ -135,49 +133,29 @@ impl Frame {
 }
 
 /// A sent-but-unacked transmission awaiting its retransmission deadline.
-/// `kind` is preserved across retransmissions so a resent SIGNAL frame
-/// stays a SIGNAL frame.
+/// The header rides along so a resend keeps its stamp, its route (for
+/// `inflight()`), and its SIGNAL kind.
 #[derive(Clone, Copy)]
 struct Flight {
+    h: Header,
     from_node: usize,
     to_node: usize,
     attempt: u32,
     due_ns: u64,
-    kind: u8,
-    /// Rank route recorded at injection (when the initiator supplied one),
-    /// surfaced by `inflight()` for stall diagnosis.
-    route: Option<(u32, u32)>,
-    /// Lamport stamp from injection, resent unchanged on every attempt.
-    lclock: u64,
-}
-
-/// A delivery action parked until its DATA frame arrives, together with
-/// the destination rank the receiver-side Lamport merge targets.
-struct Parked {
-    dst_rank: Option<u32>,
-    action: NetAction,
 }
 
 /// The loopback-UDP [`Conduit`].
 pub struct UdpConduit {
-    cfg: NetConfig,
     epoch: Instant,
     ranks_per_node: u32,
     /// One socket per simulated node, all nonblocking, plus each socket's
     /// bound address (ACK and DATA destinations).
     sockets: Vec<UdpSocket>,
     addrs: Vec<SocketAddr>,
-    /// Delivery actions parked before their DATA frame is sent; removal on
-    /// arrival doubles as receiver-side dedup.
-    payloads: Mutex<HashMap<u64, Parked>>,
     /// Transmissions awaiting an ACK, keyed by message id.
     unacked: Mutex<HashMap<u64, Flight>>,
     /// One rank drains sockets at a time; losers take the busy-hint path.
     poll_gate: Mutex<()>,
-    ctr: ConduitCounters,
-    /// Shared per-rank Lamport clocks: ticked at injection, merged at
-    /// delivery — only while tracing is on.
-    clocks: std::sync::Arc<LamportClocks>,
 }
 
 impl UdpConduit {
@@ -189,12 +167,7 @@ impl UdpConduit {
     /// fates a real socket cannot express (reorder, burst, partition) —
     /// the same contract `GasnexConfig::validate` enforces — or if binding
     /// a loopback socket fails.
-    pub fn new(
-        cfg: NetConfig,
-        ranks: u32,
-        ranks_per_node: u32,
-        clocks: std::sync::Arc<LamportClocks>,
-    ) -> Self {
+    pub fn new(cfg: NetConfig, ranks: u32, ranks_per_node: u32) -> Self {
         assert!(
             cfg.clock == ClockMode::Wall,
             "UDP conduit: real sockets cannot be time-warped; use ClockMode::Wall \
@@ -220,16 +193,12 @@ impl UdpConduit {
             sockets.push(s);
         }
         UdpConduit {
-            cfg,
             epoch: Instant::now(),
             ranks_per_node,
             sockets,
             addrs,
-            payloads: Mutex::new(HashMap::new()),
             unacked: Mutex::new(HashMap::new()),
             poll_gate: Mutex::new(()),
-            ctr: ConduitCounters::new(std::sync::Arc::clone(&clocks)),
-            clocks,
         }
     }
 
@@ -238,312 +207,130 @@ impl UdpConduit {
         &self.addrs
     }
 
-    fn node_of(&self, r: Rank) -> usize {
-        (r.0 / self.ranks_per_node) as usize % self.sockets.len()
+    fn node_of(&self, r: u32) -> usize {
+        (r / self.ranks_per_node) as usize % self.sockets.len()
     }
 
-    /// Same deterministic fate hash as the simulator.
-    fn mix(&self, msg: u64, attempt: u32, salt: u64) -> u64 {
-        let seed = self.cfg.faults.map_or(0, |f| f.seed);
-        splitmix64(splitmix64(splitmix64(seed ^ msg) ^ u64::from(attempt)) ^ salt)
-    }
-
-    fn rto_ns(&self, attempt: u32) -> u64 {
-        let (rto, cap) = self
-            .cfg
-            .faults
-            .map_or((DEFAULT_RTO_NS, DEFAULT_MAX_BACKOFF_NS), |p| {
-                (p.rto_ns, p.max_backoff_ns)
-            });
-        rto.saturating_mul(1u64 << attempt.min(32)).min(cap).max(1)
-    }
-
-    /// Transmit attempt `attempt` of `msg` from `from_node` to `to_node`,
-    /// applying the deliberate drop/dup fates, and arm (or re-arm) its
-    /// retransmission deadline.
-    #[allow(clippy::too_many_arguments)]
-    fn send_attempt(
-        &self,
-        msg: u64,
-        attempt: u32,
-        from_node: usize,
-        to_node: usize,
-        kind: u8,
-        route: Option<(u32, u32)>,
-        lclock: u64,
-    ) {
-        let plan: Option<&FaultPlan> = self.cfg.faults.as_ref();
-        let drop_this = plan.is_some_and(|p| {
-            attempt + 1 < p.max_attempts && ppm(self.mix(msg, attempt, 1)) < p.drop_ppm
-        });
-        let backoff = self.rto_ns(attempt);
-        if drop_this {
-            // Deliberate loss: never hand the frame to the kernel; the
-            // retransmission deadline recovers it, just like the
-            // simulator's drop-to-timer conversion.
-            self.ctr.note_drop(backoff);
-            self.trace_event(
-                msg,
-                attempt,
-                NetEventKind::Drop {
-                    backoff_ns: backoff,
-                },
-                lclock,
-            );
-        } else {
+    /// Transmit attempt `f.attempt` after the core's fate selection: arm
+    /// (or re-arm) its retransmission deadline first, then hand the frame
+    /// to the kernel unless the attempt was dropped — twice if duplicated.
+    fn send_attempt(&self, core: &NetCore, mut f: Flight) {
+        let fate = core.fate(&f.h, f.attempt);
+        f.due_ns = self.now_ns() + core.backoff_ns(f.attempt);
+        self.unacked.lock().unwrap().insert(f.h.msg, f);
+        if let Fate::Sent { dup } = fate {
             let frame = Frame {
-                kind,
-                msg,
-                attempt,
-                src_node: from_node as u32,
-                lclock,
+                kind: if f.h.signal { KIND_SIGNAL } else { KIND_DATA },
+                msg: f.h.msg,
+                attempt: f.attempt,
+                src_node: f.from_node as u32,
+                lclock: f.h.lclock,
             }
             .encode();
-            let copies = if plan.is_some_and(|p| ppm(self.mix(msg, attempt, 4)) < p.dup_ppm) {
-                2
-            } else {
-                1
-            };
-            for _ in 0..copies {
+            for _ in 0..1 + usize::from(dup) {
                 // WouldBlock = the destination's socket buffer is full;
                 // treat it as wire loss and let retransmission recover.
-                let _ = self.sockets[from_node].send_to(&frame, self.addrs[to_node]);
+                let _ = self.sockets[f.from_node].send_to(&frame, self.addrs[f.to_node]);
             }
         }
-        self.unacked.lock().unwrap().insert(
-            msg,
-            Flight {
-                from_node,
-                to_node,
-                attempt,
-                due_ns: self.now_wall_ns() + backoff,
-                kind,
-                route,
-                lclock,
-            },
-        );
     }
 
-    fn now_wall_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Drain one node socket, executing DATA deliveries and retiring ACKs.
-    fn drain_socket(&self, node: usize, world: &World) -> usize {
+    /// Drain up to [`DRAIN_BATCH`] frames from one node socket, executing
+    /// DATA deliveries and retiring ACKs.
+    fn drain_socket(&self, core: &NetCore, node: usize, world: &World) -> usize {
         let mut work = 0;
         let mut buf = [0u8; 64];
-        loop {
-            let (len, _peer) = match self.sockets[node].recv_from(&mut buf) {
-                Ok(r) => r,
+        for _ in 0..DRAIN_BATCH {
+            let len = match self.sockets[node].recv_from(&mut buf) {
+                Ok((len, _peer)) => len,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(_) => break,
             };
             let Some(frame) = Frame::decode(&buf[..len]) else {
                 continue;
             };
-            match frame.kind {
-                // A SIGNAL frame is handled exactly like DATA — the badge
-                // post lives inside the parked action, and the
-                // take-from-table dedup is what makes it coalesce once.
-                KIND_DATA | KIND_SIGNAL => {
-                    work += 1;
-                    let parked = self.payloads.lock().unwrap().remove(&frame.msg);
-                    // ACK first (either way): if our earlier ACK was lost
-                    // the sender is still retransmitting and needs another.
-                    let ack = Frame {
-                        kind: KIND_ACK,
-                        msg: frame.msg,
-                        attempt: frame.attempt,
-                        src_node: node as u32,
-                        lclock: 0,
-                    }
-                    .encode();
-                    let _ = self.sockets[node]
-                        .send_to(&ack, self.addrs[frame.src_node as usize % self.addrs.len()]);
-                    match parked {
-                        Some(parked) => {
-                            // Lamport receive: merge the stamp the frame
-                            // actually carried across the kernel into the
-                            // destination rank's clock before the action
-                            // runs.
-                            let merged = if self.ctr.tracing() {
-                                self.clocks
-                                    .merge(self.clocks.slot_for(parked.dst_rank), frame.lclock)
-                            } else {
-                                0
-                            };
-                            self.trace_event(
-                                frame.msg,
-                                frame.attempt,
-                                NetEventKind::Deliver,
-                                merged,
-                            );
-                            (parked.action)(world);
-                            self.ctr.note_delivered();
-                            self.ctr.pending_len.fetch_sub(1, Ordering::SeqCst);
-                        }
-                        None => {
-                            // Absent from the table = already executed: a
-                            // duplicated frame or a retransmission whose
-                            // original got through.
-                            self.trace_event(
-                                frame.msg,
-                                frame.attempt,
-                                NetEventKind::DupDiscard,
-                                frame.lclock,
-                            );
-                            self.ctr.note_dup_suppressed();
-                        }
-                    }
-                }
-                KIND_ACK => {
-                    self.unacked.lock().unwrap().remove(&frame.msg);
-                }
-                _ => {}
+            if frame.kind == KIND_ACK {
+                self.unacked.lock().unwrap().remove(&frame.msg);
+                continue;
             }
+            // DATA and SIGNAL alike: the badge post lives inside the parked
+            // action, and the core's take-from-table dedup is what makes it
+            // coalesce once.
+            work += 1;
+            // ACK first (either way): if our earlier ACK was lost the sender
+            // is still retransmitting and needs another.
+            let ack = Frame {
+                kind: KIND_ACK,
+                src_node: node as u32,
+                lclock: 0,
+                ..frame
+            }
+            .encode();
+            let _ = self.sockets[node]
+                .send_to(&ack, self.addrs[frame.src_node as usize % self.addrs.len()]);
+            core.arrive(world, frame.msg, frame.attempt, frame.lclock, false);
         }
         work
     }
 
     /// Resend every flight whose retransmission deadline has passed.
-    fn retransmit_due(&self) -> usize {
-        let now = self.now_wall_ns();
-        let due: Vec<(u64, Flight)> = {
+    fn retransmit_due(&self, core: &NetCore) -> usize {
+        let now = self.now_ns();
+        let due: Vec<Flight> = {
             let unacked = self.unacked.lock().unwrap();
             unacked
-                .iter()
-                .filter(|(_, f)| f.due_ns <= now)
-                .map(|(&msg, f)| (msg, *f))
+                .values()
+                .filter(|f| f.due_ns <= now)
+                .copied()
                 .collect()
         };
         let n = due.len();
-        for (msg, f) in due {
-            self.ctr.note_retry();
-            self.trace_event(msg, f.attempt + 1, NetEventKind::Retry, f.lclock);
-            self.send_attempt(
-                msg,
-                f.attempt + 1,
-                f.from_node,
-                f.to_node,
-                f.kind,
-                f.route,
-                f.lclock,
-            );
+        for f in due {
+            let attempt = f.attempt + 1;
+            core.note_retry(&f.h, attempt);
+            self.send_attempt(core, Flight { attempt, ..f });
         }
         n
-    }
-
-    /// Shared injection path: park the payload, then put attempt 0 of a
-    /// `kind` frame on the wire.
-    fn inject_kind(&self, route: Option<(Rank, Rank)>, action: NetAction, kind: u8) -> u64 {
-        let msg = self.ctr.next_msg();
-        self.ctr.pending_len.fetch_add(1, Ordering::SeqCst);
-        let route = route.map(|(s, t)| (s.0, t.0));
-        // Lamport send event: tick the injecting rank's clock; the stamp
-        // rides every frame of this message (tracing-gated).
-        let lclock = if self.ctr.tracing() {
-            self.clocks
-                .tick(self.clocks.slot_for(route.map(|(s, _)| s)))
-        } else {
-            0
-        };
-        self.trace_event(msg, 0, NetEventKind::Inject, lclock);
-        let nodes = self.sockets.len() as u64;
-        let (from_node, to_node) = match route {
-            Some((from, to)) => (self.node_of(Rank(from)), self.node_of(Rank(to))),
-            // No hint: spread deterministically so unrouted traffic still
-            // exercises the wire between distinct sockets.
-            None => ((msg % nodes) as usize, ((msg + 1) % nodes) as usize),
-        };
-        // Park the payload (and the merge target) before the frame can
-        // possibly arrive.
-        self.payloads.lock().unwrap().insert(
-            msg,
-            Parked {
-                dst_rank: route.map(|(_, t)| t),
-                action,
-            },
-        );
-        self.send_attempt(msg, 0, from_node, to_node, kind, route, lclock);
-        // New traffic: prod a parked progress thread (no-op when unarmed).
-        self.ctr.wake();
-        msg
     }
 }
 
 impl Conduit for UdpConduit {
-    fn inject_to(&self, route: Option<(Rank, Rank)>, action: NetAction) -> u64 {
-        self.inject_kind(route, action, KIND_DATA)
+    /// Park the payload (with its merge target) before the frame can
+    /// possibly arrive, then put attempt 0 on the wire.
+    fn inject(&self, core: &NetCore, h: Header, action: NetAction) {
+        let nodes = self.sockets.len() as u64;
+        let (from_node, to_node) = match h.route {
+            Some((from, to)) => (self.node_of(from), self.node_of(to)),
+            // No hint: spread deterministically so unrouted traffic still
+            // exercises the wire between distinct sockets.
+            None => ((h.msg % nodes) as usize, ((h.msg + 1) % nodes) as usize),
+        };
+        core.park(h.msg, h.route.map(|(_, t)| t), action);
+        let f = Flight {
+            h,
+            from_node,
+            to_node,
+            attempt: 0,
+            due_ns: 0,
+        };
+        self.send_attempt(core, f);
     }
 
-    /// Signal-carrying injection: a SIGNAL frame on the same
-    /// ack/retransmit/dedup flights as DATA, plus the signal counter.
-    fn inject_signal_to(&self, route: Option<(Rank, Rank)>, action: NetAction) -> u64 {
-        self.ctr.note_signal();
-        self.inject_kind(route, action, KIND_SIGNAL)
-    }
-
-    fn poll(&self, world: &World) -> usize {
-        let _gate = match self.poll_gate.try_lock() {
+    fn poll(&self, core: &NetCore, world: &World) -> usize {
+        let _gate = match core.gate(&self.poll_gate) {
             Ok(g) => g,
-            Err(_) => {
-                std::thread::yield_now();
-                match self.poll_gate.try_lock() {
-                    Ok(g) => g,
-                    Err(_) => {
-                        self.ctr.note_contended_poll();
-                        return usize::from(self.ctr.pending() > 0);
-                    }
-                }
-            }
+            Err(busy) => return busy,
         };
         let mut work = 0;
         for node in 0..self.sockets.len() {
-            work += self.drain_socket(node, world);
+            work += self.drain_socket(core, node, world);
         }
-        work += self.retransmit_due();
-        work
+        work + self.retransmit_due(core)
     }
 
     /// Wall clock only: a kernel socket cannot be time-warped.
     fn now_ns(&self) -> u64 {
-        self.now_wall_ns()
-    }
-
-    fn injected(&self) -> u64 {
-        self.ctr.injected()
-    }
-
-    fn delivered(&self) -> u64 {
-        self.ctr.delivered()
-    }
-
-    fn pending(&self) -> usize {
-        self.ctr.pending()
-    }
-
-    fn stats(&self) -> NetStats {
-        self.ctr.stats()
-    }
-
-    fn reset_stats(&self) {
-        self.ctr.reset_stats();
-    }
-
-    fn set_tracing(&self, on: bool) {
-        self.ctr.set_tracing(on);
-    }
-
-    fn tracing(&self) -> bool {
-        self.ctr.tracing()
-    }
-
-    fn take_trace(&self) -> Vec<NetTraceEvent> {
-        self.ctr.take_trace()
-    }
-
-    fn peek_trace(&self) -> Vec<NetTraceEvent> {
-        self.ctr.peek_trace()
+        self.epoch.elapsed().as_nanos() as u64
     }
 
     /// Every sent-but-unacked flight, in ascending `msg` order. An entry's
@@ -551,44 +338,17 @@ impl Conduit for UdpConduit {
     fn inflight(&self) -> Vec<InFlight> {
         let unacked = self.unacked.lock().unwrap();
         let mut out: Vec<InFlight> = unacked
-            .iter()
-            .map(|(&msg, f)| InFlight {
-                msg,
+            .values()
+            .map(|f| InFlight {
+                msg: f.h.msg,
                 attempt: f.attempt,
                 retransmit: f.attempt > 0,
                 due_ns: f.due_ns,
-                route: f.route,
+                route: f.h.route,
             })
             .collect();
         out.sort_by_key(|f| (f.msg, f.due_ns));
         out
-    }
-
-    fn trace_event(&self, msg: u64, attempt: u32, kind: NetEventKind, lclock: u64) {
-        if self.ctr.tracing() {
-            self.ctr
-                .trace_event(self.now_wall_ns(), msg, attempt, kind, lclock);
-        }
-    }
-
-    fn clocks(&self) -> &std::sync::Arc<LamportClocks> {
-        &self.clocks
-    }
-
-    fn note_batch(&self, ops: u64, reason: crate::aggregate::FlushReason) {
-        self.ctr.note_batch(ops, reason);
-    }
-
-    fn note_agg_occupancy(&self, depth: usize) {
-        self.ctr.note_agg_occupancy(depth);
-    }
-
-    fn set_progress_waker(&self, waker: Option<std::sync::Arc<dyn Fn() + Send + Sync>>) {
-        self.ctr.set_waker(waker);
-    }
-
-    fn wake_progress(&self) {
-        self.ctr.wake();
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -599,8 +359,10 @@ impl Conduit for UdpConduit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{GasnexConfig, Transport};
-    use std::sync::atomic::AtomicU64;
+    use crate::conduit::splitmix64;
+    use crate::config::{FaultPlan, GasnexConfig, Transport};
+    use crate::rank::Rank;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
 
     fn udp_world(faults: Option<FaultPlan>) -> Arc<World> {
@@ -640,6 +402,7 @@ mod tests {
                 Box::new(move |_| {
                     h.fetch_add(1, Ordering::Relaxed);
                 }),
+                false,
             );
         }
         assert_eq!(
@@ -703,12 +466,7 @@ mod tests {
     #[test]
     fn virtual_clock_is_rejected() {
         let r = std::panic::catch_unwind(|| {
-            UdpConduit::new(
-                NetConfig::default().with_virtual_clock(),
-                2,
-                1,
-                LamportClocks::new(2),
-            )
+            UdpConduit::new(NetConfig::default().with_virtual_clock(), 2, 1)
         });
         assert!(r.is_err(), "virtual clock must be rejected");
     }
@@ -717,12 +475,7 @@ mod tests {
     fn unexpressible_fault_fates_are_rejected() {
         let plan = FaultPlan::seeded(1).with_reorder(100_000, 5_000);
         let r = std::panic::catch_unwind(|| {
-            UdpConduit::new(
-                NetConfig::default().with_faults(plan),
-                2,
-                1,
-                LamportClocks::new(2),
-            )
+            UdpConduit::new(NetConfig::default().with_faults(plan), 2, 1)
         });
         assert!(r.is_err(), "reorder fate must be rejected on a real wire");
     }
@@ -740,11 +493,12 @@ mod tests {
         let hits = Arc::new(AtomicU64::new(0));
         for i in 0..96u64 {
             let h = Arc::clone(&hits);
-            w.net().inject_signal_to(
+            w.net().inject_to(
                 Some((Rank(i as u32 % 4), Rank((i as u32 + 1) % 4))),
                 Box::new(move |_| {
                     h.fetch_add(1, Ordering::Relaxed);
                 }),
+                true,
             );
         }
         drain(&w, 96);
@@ -781,5 +535,105 @@ mod tests {
         assert_eq!(d.kind, KIND_SIGNAL);
         assert!(Frame::decode(&[0u8; FRAME_LEN]).is_none(), "bad magic");
         assert!(Frame::decode(&[MAGIC; 4]).is_none(), "short frame");
+    }
+
+    #[test]
+    fn acks_racing_ahead_of_injection_leave_no_stale_flights() {
+        // A flight must be armed before its frame reaches the kernel.
+        // Otherwise a concurrent poller can receive the DATA frame and
+        // process its ACK first: the ACK finds no flight to retire, and the
+        // late-armed flight lingers until its deadline fires a spurious
+        // resend. A clean wire with a one-second RTO must drain to zero
+        // flights.
+        let plan = FaultPlan::seeded(0).with_retry(1_000_000_000, 1_000_000_000, 8);
+        let w = udp_world(Some(plan));
+        const N: u64 = 200_000;
+        const WINDOW: u64 = 16;
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    w.net().poll(&w);
+                }
+            });
+            let start = Instant::now();
+            let wait_until = |ok: &dyn Fn() -> bool| {
+                while !ok() {
+                    assert!(start.elapsed().as_secs() < 120, "poller stopped delivering");
+                    std::thread::yield_now();
+                }
+            };
+            for _ in 0..N {
+                wait_until(&|| w.net().injected() - w.net().delivered() < WINDOW);
+                w.net()
+                    .inject_to(Some((Rank(0), Rank(2))), Box::new(|_| {}), false);
+            }
+            wait_until(&|| w.net().delivered() == N);
+            // The last ACKs may still sit in the socket: give the poller a
+            // bounded grace period, far shorter than the RTO, to retire them.
+            let grace = Instant::now();
+            while !w.net().inflight().is_empty() && grace.elapsed().as_millis() < 250 {
+                std::thread::yield_now();
+            }
+            done.store(true, Ordering::Relaxed);
+        });
+        let stale = w.net().inflight();
+        assert!(
+            stale.is_empty(),
+            "{} stale flights outlived their ACKs, first {:?}",
+            stale.len(),
+            stale.first()
+        );
+    }
+
+    #[test]
+    fn frame_decode_rejects_or_roundtrips_arbitrary_bytes() {
+        // Decoder robustness: seeded random datagrams, every truncation and
+        // every single-byte mutation of valid DATA/ACK/SIGNAL frames must
+        // either be rejected or decode to a frame that re-encodes to exactly
+        // the input bytes — and never panic.
+        let check = |b: &[u8]| {
+            if let Some(f) = Frame::decode(b) {
+                assert_eq!(
+                    &f.encode()[..],
+                    b,
+                    "decoded frame must re-encode to its input"
+                );
+            }
+        };
+        let mut x = 0x5EED_u64;
+        for _ in 0..20_000 {
+            x = splitmix64(x);
+            let len = (x % 65) as usize;
+            let mut b: Vec<u8> = (0..len as u64).map(|i| splitmix64(x ^ i) as u8).collect();
+            // Bias half the inputs past the magic and kind checks so the
+            // field decoding is exercised too.
+            if len >= 2 && x & (1 << 20) != 0 {
+                b[0] = MAGIC;
+                b[1] = (x >> 24) as u8 % 4;
+            }
+            check(&b);
+        }
+        for kind in [KIND_DATA, KIND_ACK, KIND_SIGNAL] {
+            let valid = Frame {
+                kind,
+                msg: 0x0123_4567_89AB_CDEF,
+                attempt: 3,
+                src_node: 1,
+                lclock: 42,
+            }
+            .encode();
+            check(&valid);
+            for cut in 0..FRAME_LEN {
+                assert!(Frame::decode(&valid[..cut]).is_none(), "truncated at {cut}");
+            }
+            for pos in 0..FRAME_LEN {
+                for v in 0..=u8::MAX {
+                    let mut m = valid;
+                    m[pos] = v;
+                    check(&m);
+                }
+            }
+        }
     }
 }

@@ -24,11 +24,12 @@
 //! * **Notification objects** ([`notify::NotifyTable`]) — seL4-style
 //!   badge-coalescing notification words with parked waiters, the
 //!   target-side half of put-with-signal RMA.
-//! * **Conduit transports** ([`conduit::Conduit`]) — the wire abstraction
-//!   cross-node operations travel through; injected operations never
-//!   complete synchronously. Two impls: the simulated delay queue
-//!   ([`net::SimNetwork`], with the chaos adversary and virtual-clock
-//!   replay) and real loopback UDP sockets
+//! * **The network** ([`conduit::NetCore`]) — one reliability core
+//!   (fault fates, backoff, dedup, Lamport stamps, counters, wire trace)
+//!   over a pluggable [`conduit::Conduit`] transport; injected operations
+//!   never complete synchronously. Two transports: the simulated delay
+//!   queue ([`net::SimNetwork`], with the chaos adversary and
+//!   virtual-clock replay) and real loopback UDP sockets
 //!   ([`conduit::udp::UdpConduit`]).
 //! * **Remote atomics** ([`amo`]) — the `gex_AD`-style atomic operation set
 //!   over 64-bit words, including the fetching/non-fetching split the paper
@@ -63,11 +64,11 @@ pub use alloc::{OutOfSegmentMemory, SegAlloc};
 pub use am::AmCtx;
 pub use amo::AmoOp;
 pub use clock::LamportClocks;
-pub use conduit::{udp::UdpConduit, Conduit, InFlight};
+pub use conduit::{udp::UdpConduit, Conduit, FieldClass, Header, InFlight, NetCore, NetStats};
 pub use config::{ClockMode, ConduitKind, FaultPlan, GasnexConfig, NetConfig, Transport};
 pub use event::{Event, EventCore};
 pub use mailbox::{MpQueue, ReadyQueue};
-pub use net::{FieldClass, NetEventKind, NetStats, NetTraceEvent, SimNetwork};
+pub use net::{NetEventKind, NetTraceEvent, SimNetwork};
 pub use notify::{NotifyTable, NotifyWordSnapshot};
 pub use rank::{Rank, Team, Topology};
 pub use segment::Segment;

@@ -15,58 +15,43 @@
 //!
 //! # Chaos mode
 //!
-//! With a [`FaultPlan`] the network becomes a deterministic adversary. Each
-//! logical message carries a sequence number (`msg`); every fault decision
-//! is a pure hash of `(plan seed, msg, attempt)`, so a fixed seed replays
-//! the identical schedule — especially under [`ClockMode::Virtual`], where
+//! With a [`FaultPlan`](crate::config::FaultPlan) the network becomes a
+//! deterministic adversary. Every fault decision is the reliability core's
+//! pure hash of `(plan seed, msg, attempt)`, so a fixed seed replays the
+//! identical schedule — especially under [`ClockMode::Virtual`], where
 //! "now" is a logical counter that time-warps to the earliest due delivery
-//! instead of reading `Instant`. The reliability layer on top:
+//! instead of reading `Instant`. On top of the core's fate step:
 //!
 //! * **Drops** never lose the payload; they convert the delivery into a
-//!   retransmission timer that fires after a bounded exponential backoff
-//!   (`rto_ns << attempt`, capped at `max_backoff_ns`) and re-enters fate
-//!   selection with `attempt + 1`. The attempt before `max_attempts` is
-//!   exempt from drops, so every message is eventually delivered.
-//! * **Duplicates** enqueue a second wire copy of the message; the two
-//!   copies share the payload through one slot, so whichever copy arrives
-//!   first delivers the action and the other is suppressed
-//!   (`dup_suppressed`) — exactly-once execution without caring which copy
-//!   won the race. A duplicate that overtakes its reordered original is
-//!   *promoted* (`dup_promoted`), not swallowed. The receiver-side `acked`
-//!   set holds a message id only between the first and second copy's
-//!   arrival, so it stays bounded by the number of in-flight dup pairs.
+//!   retransmission timer that fires after the core's bounded backoff and
+//!   re-enters fate selection with `attempt + 1`.
+//! * **Duplicates** park the payload in the core and enqueue two wire
+//!   copies; whichever pops first takes the payload and delivers, the other
+//!   finds the slot empty and is suppressed (`dup_suppressed`). The
+//!   trailing copy is scheduled off the *un-reordered* arrival, so it can
+//!   overtake a reordered original and is then *promoted* (`dup_promoted`).
+//!   The parked table holds an id only between the two copies' arrivals.
 //! * **Reorder / burst / partition** only shift due times; they can starve
 //!   but never cancel a delivery.
 //!
-//! # Aggregation hooks
-//!
-//! The sender-side aggregation layer ([`crate::aggregate`]) injects batch
-//! messages through the ordinary [`Conduit::inject_to`] path — a batch is
-//! one logical message whose action fans out to its constituent ops, so
-//! drop/dup/reorder fates act on whole batches and a retransmission
-//! re-sends the batch payload. The network only keeps the aggregate
-//! counters (`batches_injected`, `ops_coalesced`, per-reason flush counts,
-//! buffer-occupancy high-water) so they surface in [`NetStats`] next to
-//! the reliability counters.
+//! `pending` counts heap entries: one per message, plus the extra copy of a
+//! duplicated one. A retransmission pops one timer and pushes one attempt.
 //!
 //! # Lock granularity
 //!
-//! Three independent pieces of state, so observers never contend with
-//! delivery: the **clock** is an atomic (`vclock`) or a lock-free `Instant`
-//! read; the **delivery heap** has the only lock the delivery path takes
-//! (plus the dedup set); and **statistics** — including the `reset_stats`
-//! baseline — live entirely in atomics ([`ConduitCounters`]), so `now_ns()`
-//! and `stats()` are wait-free with respect to a poll in progress.
+//! The clock is an atomic (`vclock`) or a lock-free `Instant` read; the
+//! delivery heap has the only lock the fault-free delivery path takes, and
+//! it doubles as the poll gate; statistics live in the core's atomics, so
+//! `now_ns()` and `stats()` are wait-free with respect to a poll.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::clock::LamportClocks;
-use crate::conduit::{Conduit, ConduitCounters, InFlight};
-use crate::config::{ClockMode, FaultPlan, NetConfig};
-use crate::rank::Rank;
+use crate::conduit::{ppm, Conduit, Fate, Header, InFlight, NetCore, Parked};
+use crate::config::{ClockMode, NetConfig};
 use crate::world::World;
 
 /// A delivery action: performs the remote side of an operation (data
@@ -76,7 +61,7 @@ pub type NetAction = Box<dyn FnOnce(&World) + Send>;
 /// What happened to a message on the wire (trace-mode only).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NetEventKind {
-    /// Message entered the conduit (`Conduit::inject_to`).
+    /// Message entered the network (`NetCore::inject_to`).
     Inject,
     /// The fault plan dropped this transmission attempt; a retransmission
     /// timer was armed `backoff_ns` in the future.
@@ -88,18 +73,18 @@ pub enum NetEventKind {
     /// A duplicated wire copy was discarded by receiver-side dedup.
     DupDiscard,
     /// An initiator-side completion signal was routed to a rank's ready
-    /// queue (recorded by `World::route_signal`, not by the conduit).
+    /// queue (recorded by `World::route_signal`, not by a transport).
     Signal { rank: u32, token: u64 },
 }
 
 /// One wire-level trace record. `msg` is the logical message id returned by
-/// [`Conduit::inject_to`], which lets core-level operation traces correlate
+/// [`NetCore::inject_to`], which lets core-level operation traces correlate
 /// their `NetInject` events with the retries and delivery seen down here.
 /// `Signal` events use `msg = u64::MAX` (they belong to an event core, not
 /// a wire message).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NetTraceEvent {
-    /// Timestamp from the conduit clock (wall or virtual, per `ClockMode`).
+    /// Timestamp from the transport clock (wall or virtual, per `ClockMode`).
     pub ts_ns: u64,
     /// Logical message id (`u64::MAX` for `Signal` events).
     pub msg: u64,
@@ -113,180 +98,34 @@ pub struct NetTraceEvent {
     pub lclock: u64,
 }
 
-/// Whether a statistic is a monotonic counter or a level gauge. Declared
-/// here (the lowest crate that exports stats) so both [`NetStats`] and the
-/// runtime's per-rank stats share one vocabulary; `upcr` re-exports it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FieldClass {
-    /// Monotonically increasing; `since` subtracts, resets re-baseline it.
-    Counter,
-    /// A level (queue depth, high-water mark); `since` passes the later
-    /// sample through, and resets re-prime rather than zero it.
-    Gauge,
-}
-
-/// Snapshot of a conduit's counters, including the chaos-mode reliability
-/// layer. `injected`/`delivered`/`pending` count logical messages exactly
-/// as the quiescence protocol sees them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub struct NetStats {
-    /// Logical messages injected since creation.
-    pub injected: u64,
-    /// Logical messages delivered (each action executes exactly once).
-    pub delivered: u64,
-    /// Messages awaiting delivery: undelivered messages, pending
-    /// retransmission timers, and duplicate copies not yet suppressed.
-    pub pending: usize,
-    /// Polls that lost the queue-lock race twice and returned a busy hint.
-    pub contended_polls: u64,
-    /// Retransmissions performed after an injected drop.
-    pub retries: u64,
-    /// Transmission attempts the fault plan dropped.
-    pub drops_injected: u64,
-    /// Duplicate copies discarded by receiver-side sequence-number dedup.
-    pub dup_suppressed: u64,
-    /// Largest retransmission backoff applied (gauge; bounded by the plan's
-    /// `max_backoff_ns`).
-    pub max_backoff_ns: u64,
-    /// Duplicate copies that arrived before their original and were
-    /// promoted to perform the delivery.
-    pub dup_promoted: u64,
-    /// Batch messages injected by the aggregation layer.
-    pub batches_injected: u64,
-    /// Fine-grained operations carried inside those batches.
-    pub ops_coalesced: u64,
-    /// Batch flushes triggered by the size threshold.
-    pub flushes_size: u64,
-    /// Batch flushes triggered by the age timeout.
-    pub flushes_age: u64,
-    /// Batch flushes triggered explicitly (barrier / quiesce / user flush).
-    pub flushes_explicit: u64,
-    /// Deepest per-target aggregation buffer observed (gauge).
-    pub agg_occupancy_highwater: u64,
-    /// Signal-carrying messages (put/amo-with-signal) injected.
-    pub signals: u64,
-    /// Lamport clock advances (ticks + merges) performed by the causal
-    /// tracing layer. Zero unless tracing is enabled.
-    pub lclock_ticks: u64,
-}
-
-impl NetStats {
-    /// Field names and classes, in declaration order — the registration
-    /// hook the runtime's metrics registry consumes. Order matches
-    /// [`NetStats::values`].
-    pub const FIELDS: &'static [(&'static str, FieldClass)] = &[
-        ("injected", FieldClass::Counter),
-        ("delivered", FieldClass::Counter),
-        ("pending", FieldClass::Gauge),
-        ("contended_polls", FieldClass::Counter),
-        ("retries", FieldClass::Counter),
-        ("drops_injected", FieldClass::Counter),
-        ("dup_suppressed", FieldClass::Counter),
-        ("max_backoff_ns", FieldClass::Gauge),
-        ("dup_promoted", FieldClass::Counter),
-        ("batches_injected", FieldClass::Counter),
-        ("ops_coalesced", FieldClass::Counter),
-        ("flushes_size", FieldClass::Counter),
-        ("flushes_age", FieldClass::Counter),
-        ("flushes_explicit", FieldClass::Counter),
-        ("agg_occupancy_highwater", FieldClass::Gauge),
-        ("signals", FieldClass::Counter),
-        ("lclock_ticks", FieldClass::Counter),
-    ];
-
-    /// Field values in the same order as [`NetStats::FIELDS`].
-    pub fn values(&self) -> Vec<u64> {
-        vec![
-            self.injected,
-            self.delivered,
-            self.pending as u64,
-            self.contended_polls,
-            self.retries,
-            self.drops_injected,
-            self.dup_suppressed,
-            self.max_backoff_ns,
-            self.dup_promoted,
-            self.batches_injected,
-            self.ops_coalesced,
-            self.flushes_size,
-            self.flushes_age,
-            self.flushes_explicit,
-            self.agg_occupancy_highwater,
-            self.signals,
-            self.lclock_ticks,
-        ]
-    }
-
-    /// Field-wise difference (`self - earlier`): counters subtract
-    /// (saturating at zero); gauges (`pending`, `max_backoff_ns`) report
-    /// the later sample unchanged — a queue depth is a level, not a count.
-    pub fn since(&self, earlier: &NetStats) -> NetStats {
-        NetStats {
-            injected: self.injected.saturating_sub(earlier.injected),
-            delivered: self.delivered.saturating_sub(earlier.delivered),
-            pending: self.pending,
-            contended_polls: self.contended_polls.saturating_sub(earlier.contended_polls),
-            retries: self.retries.saturating_sub(earlier.retries),
-            drops_injected: self.drops_injected.saturating_sub(earlier.drops_injected),
-            dup_suppressed: self.dup_suppressed.saturating_sub(earlier.dup_suppressed),
-            max_backoff_ns: self.max_backoff_ns,
-            dup_promoted: self.dup_promoted.saturating_sub(earlier.dup_promoted),
-            batches_injected: self
-                .batches_injected
-                .saturating_sub(earlier.batches_injected),
-            ops_coalesced: self.ops_coalesced.saturating_sub(earlier.ops_coalesced),
-            flushes_size: self.flushes_size.saturating_sub(earlier.flushes_size),
-            flushes_age: self.flushes_age.saturating_sub(earlier.flushes_age),
-            flushes_explicit: self
-                .flushes_explicit
-                .saturating_sub(earlier.flushes_explicit),
-            agg_occupancy_highwater: self.agg_occupancy_highwater,
-            signals: self.signals.saturating_sub(earlier.signals),
-            lclock_ticks: self.lclock_ticks.saturating_sub(earlier.lclock_ticks),
-        }
-    }
-}
-
+/// What a heap entry does when popped. The attempt number lives in the
+/// variants, in the padding beside their flags, so a [`Delivery`] stays at
+/// 72 bytes: `poll` collects due entries into a fresh `Vec`, one
+/// allocation per delivering poll whose size the off-node benchmark counts.
 enum Payload {
-    /// Transmission attempt number `attempt` of message `msg`, carrying the
-    /// delivery action. If `dropped`, the entry is the retransmission timer
-    /// for a lost packet: popping it reschedules attempt `attempt + 1`
-    /// instead of delivering.
+    /// Transmission attempt `attempt`, carrying the delivery action. If
+    /// `dropped`, the entry is the retransmission timer for a lost packet:
+    /// popping it reschedules attempt `attempt + 1` instead of delivering.
     Attempt {
-        msg: u64,
         attempt: u32,
         dropped: bool,
-        /// Routing hint recorded at injection — not used for delivery
-        /// (the queue is global) but surfaced by `inflight()` so a stall
-        /// diagnosis can name the rank pair a stuck message belongs to.
-        route: Option<(u32, u32)>,
-        /// The sender's Lamport stamp, piggybacked on the wire message
-        /// (zero when tracing was off at injection).
-        lclock: u64,
         action: NetAction,
     },
-    /// One of the two wire copies of a duplicated transmission. Both copies
-    /// share the payload through `slot`; whichever pops first takes it and
-    /// delivers, the other finds the slot empty and is suppressed.
-    /// `primary` marks the copy scheduled on the original (possibly
-    /// reordered) due time — when the trailing copy wins the race, the
-    /// delivery is counted as a promotion.
-    Copy {
-        msg: u64,
-        attempt: u32,
-        primary: bool,
-        route: Option<(u32, u32)>,
-        /// The sender's Lamport stamp (both copies carry the same stamp).
-        lclock: u64,
-        slot: std::sync::Arc<Mutex<Option<NetAction>>>,
-    },
+    /// One of the two wire copies of a duplicated attempt; the action is
+    /// parked in the core. `primary` marks the copy scheduled on the
+    /// original (possibly reordered) due time — when the trailing copy wins
+    /// the race, the delivery is counted as a promotion.
+    Copy { attempt: u32, primary: bool },
 }
 
 struct Delivery {
     due_ns: u64,
     seq: u64,
+    h: Header,
     payload: Payload,
 }
+
+const _: () = assert!(std::mem::size_of::<Delivery>() <= 72, "see `Payload`");
 
 impl PartialEq for Delivery {
     fn eq(&self, other: &Self) -> bool {
@@ -312,83 +151,27 @@ pub struct SimNetwork {
     /// Logical nanoseconds under `ClockMode::Virtual`; advances only inside
     /// `poll` (under the queue lock), time-warping to the earliest due
     /// delivery when nothing is currently due.
-    vclock: std::sync::atomic::AtomicU64,
-    /// Heap tie-break sequence. Distinct from the message counter because
+    vclock: AtomicU64,
+    /// Heap tie-break sequence. Distinct from the message id because
     /// retries and duplicates push extra heap entries for the same logical
     /// message.
-    heap_seq: std::sync::atomic::AtomicU64,
+    heap_seq: AtomicU64,
     queue: Mutex<BinaryHeap<Reverse<Delivery>>>,
-    /// Receiver-side dedup: ids of duplicated messages whose *first* copy
-    /// has arrived but whose second copy is still in flight. The second
-    /// copy's arrival evicts the id, and non-duplicated messages never
-    /// enter, so the set is bounded by the in-flight dup pairs.
-    acked: Mutex<HashSet<u64>>,
-    /// Counters, gauges, baseline, and the wire-event sink — all atomic or
-    /// independently locked, never touched under the queue lock's scope in
-    /// a way an observer would wait on.
-    ctr: ConduitCounters,
-    /// Shared per-rank Lamport clocks: ticked at injection, merged at
-    /// delivery — only while tracing is on.
-    clocks: std::sync::Arc<LamportClocks>,
 }
 
-use std::sync::atomic::Ordering;
-
 impl SimNetwork {
-    /// Create a network with the given latency parameters, sharing the
-    /// world's Lamport clock bank for causal stamps.
-    pub fn new(cfg: NetConfig, clocks: std::sync::Arc<LamportClocks>) -> Self {
+    /// Create a network with the given latency and fault parameters.
+    pub fn new(cfg: NetConfig) -> Self {
         if let Some(plan) = cfg.faults {
             plan.validate();
         }
         SimNetwork {
             cfg,
             epoch: Instant::now(),
-            vclock: std::sync::atomic::AtomicU64::new(0),
-            heap_seq: std::sync::atomic::AtomicU64::new(0),
+            vclock: AtomicU64::new(0),
+            heap_seq: AtomicU64::new(0),
             queue: Mutex::new(BinaryHeap::new()),
-            acked: Mutex::new(HashSet::new()),
-            ctr: ConduitCounters::new(std::sync::Arc::clone(&clocks)),
-            clocks,
         }
-    }
-
-    /// The network's notion of "now": nanoseconds since creation under
-    /// `ClockMode::Wall`, or the logical time-warp counter under
-    /// `ClockMode::Virtual`. This is the clock every trace timestamp uses,
-    /// so virtual-clock traces are bit-replayable.
-    #[inline]
-    pub fn now_ns(&self) -> u64 {
-        match self.cfg.clock {
-            ClockMode::Wall => self.epoch.elapsed().as_nanos() as u64,
-            ClockMode::Virtual => self.vclock.load(Ordering::SeqCst),
-        }
-    }
-
-    /// Record one wire event with its Lamport stamp (no-op unless tracing
-    /// is on).
-    #[inline]
-    fn record(&self, msg: u64, attempt: u32, kind: NetEventKind, lclock: u64) {
-        if self.ctr.tracing() {
-            self.ctr
-                .trace_event(self.now_ns(), msg, attempt, kind, lclock);
-        }
-    }
-
-    /// Deterministic per-decision hash: a pure function of the plan seed
-    /// (0 without a plan), the message id, the attempt, and a salt that
-    /// decorrelates the different decisions taken for one attempt.
-    fn mix(&self, msg: u64, attempt: u32, salt: u64) -> u64 {
-        let seed = self.cfg.faults.map_or(0, |f| f.seed);
-        splitmix64(splitmix64(splitmix64(seed ^ msg) ^ u64::from(attempt)) ^ salt)
-    }
-
-    /// Bounded exponential backoff for retransmission `attempt`.
-    fn backoff_ns(plan: &FaultPlan, attempt: u32) -> u64 {
-        plan.rto_ns
-            .saturating_mul(1u64 << attempt.min(32))
-            .min(plan.max_backoff_ns)
-            .max(1)
     }
 
     /// Apply the plan's burst and partition windows to a due time. Both
@@ -405,128 +188,89 @@ impl SimNetwork {
         due
     }
 
-    /// Schedule transmission attempt `attempt` of message `msg`, running
-    /// fate selection (drop / duplicate / reorder) against the fault plan.
-    /// Caller holds the queue lock and has already accounted the message in
-    /// `pending_len`; duplicate copies add their own pending entry here.
-    fn schedule_attempt(
+    fn push(
         &self,
         q: &mut BinaryHeap<Reverse<Delivery>>,
-        msg: u64,
+        due_ns: u64,
+        h: Header,
+        payload: Payload,
+    ) {
+        q.push(Reverse(Delivery {
+            due_ns,
+            seq: self.heap_seq.fetch_add(1, Ordering::Relaxed),
+            h,
+            payload,
+        }));
+    }
+
+    /// Schedule transmission attempt `attempt` of `h` after the core's fate
+    /// selection, adding jitter and the reorder/burst/partition shaping.
+    /// Caller holds the queue lock and has already accounted the message in
+    /// `pending`; a duplicate's extra copy adds its own pending entry here.
+    fn schedule_attempt(
+        &self,
+        core: &NetCore,
+        q: &mut BinaryHeap<Reverse<Delivery>>,
+        h: Header,
         attempt: u32,
-        route: Option<(u32, u32)>,
-        lclock: u64,
         action: NetAction,
     ) {
         let now = self.now_ns();
-        let plan = self.cfg.faults;
-        if let Some(plan) = &plan {
-            let droppable = attempt + 1 < plan.max_attempts;
-            if droppable && ppm(self.mix(msg, attempt, 1)) < plan.drop_ppm {
+        let dup = match core.fate(&h, attempt) {
+            Fate::Dropped { backoff_ns } => {
                 // Lost packet: keep the payload on the retransmission timer
-                // so nothing can leak, and re-enter fate selection when the
-                // timer fires.
-                let backoff = Self::backoff_ns(plan, attempt);
-                self.ctr.note_drop(backoff);
-                self.record(
-                    msg,
+                // so nothing can leak.
+                let timer = Payload::Attempt {
                     attempt,
-                    NetEventKind::Drop {
-                        backoff_ns: backoff,
-                    },
-                    lclock,
-                );
-                q.push(Reverse(Delivery {
-                    due_ns: now + backoff,
-                    seq: self.heap_seq.fetch_add(1, Ordering::Relaxed),
-                    payload: Payload::Attempt {
-                        msg,
-                        attempt,
-                        dropped: true,
-                        route,
-                        lclock,
-                        action,
-                    },
-                }));
-                return;
+                    dropped: true,
+                    action,
+                };
+                return self.push(q, now + backoff_ns, h, timer);
             }
-        }
-        let jitter = if self.cfg.jitter_ns == 0 {
-            0
-        } else {
-            // Deterministic per-attempt jitter from the seeded mix — never
-            // from wall-clock state, so identical seeds replay identical
-            // schedules.
-            self.mix(msg, attempt, 0) % (self.cfg.jitter_ns + 1)
+            Fate::Sent { dup } => dup,
         };
-        let reorder = match &plan {
-            Some(p) if p.reorder_span_ns > 0 && ppm(self.mix(msg, attempt, 2)) < p.reorder_ppm => {
-                self.mix(msg, attempt, 3) % (p.reorder_span_ns + 1)
+        // Deterministic per-attempt jitter from the seeded mix — never from
+        // wall-clock state, so identical seeds replay identical schedules.
+        let jitter = match self.cfg.jitter_ns {
+            0 => 0,
+            j => core.mix(h.msg, attempt, 0) % (j + 1),
+        };
+        let reorder = match &self.cfg.faults {
+            Some(p)
+                if p.reorder_span_ns > 0 && ppm(core.mix(h.msg, attempt, 2)) < p.reorder_ppm =>
+            {
+                core.mix(h.msg, attempt, 3) % (p.reorder_span_ns + 1)
             }
             _ => 0,
         };
-        let due = self.shape(now + self.cfg.latency_ns + jitter + reorder);
-        let duplicated = plan
-            .as_ref()
-            .is_some_and(|p| ppm(self.mix(msg, attempt, 4)) < p.dup_ppm);
-        if duplicated {
-            // The wire carried two copies sharing one payload slot. The
-            // primary keeps the reordered due time; the extra copy trails
-            // the *un-reordered* arrival by a sub-latency offset, so a
-            // heavily reordered primary can lose the race and the trailing
-            // copy gets promoted to deliver.
-            let lag = 1 + self.mix(msg, attempt, 5) % self.cfg.latency_ns.max(1);
-            let slot = std::sync::Arc::new(Mutex::new(Some(action)));
-            q.push(Reverse(Delivery {
-                due_ns: due,
-                seq: self.heap_seq.fetch_add(1, Ordering::Relaxed),
-                payload: Payload::Copy {
-                    msg,
-                    attempt,
-                    primary: true,
-                    route,
-                    lclock,
-                    slot: std::sync::Arc::clone(&slot),
-                },
-            }));
-            self.ctr.pending_len.fetch_add(1, Ordering::SeqCst);
-            q.push(Reverse(Delivery {
-                due_ns: self.shape(now + self.cfg.latency_ns + jitter + lag),
-                seq: self.heap_seq.fetch_add(1, Ordering::Relaxed),
-                payload: Payload::Copy {
-                    msg,
-                    attempt,
-                    primary: false,
-                    route,
-                    lclock,
-                    slot,
-                },
-            }));
+        let arrival = now + self.cfg.latency_ns + jitter;
+        let due = self.shape(arrival + reorder);
+        if dup {
+            // The primary keeps the reordered due time; the extra copy
+            // trails the *un-reordered* arrival by a sub-latency offset, so
+            // a heavily reordered primary can lose the race and the
+            // trailing copy gets promoted to deliver.
+            let lag = 1 + core.mix(h.msg, attempt, 5) % self.cfg.latency_ns.max(1);
+            core.park(h.msg, h.route.map(|(_, t)| t), action);
+            let primary = Payload::Copy {
+                attempt,
+                primary: true,
+            };
+            self.push(q, due, h, primary);
+            core.pending_gauge().fetch_add(1, Ordering::SeqCst);
+            let trailing = Payload::Copy {
+                attempt,
+                primary: false,
+            };
+            self.push(q, self.shape(arrival + lag), h, trailing);
         } else {
-            q.push(Reverse(Delivery {
-                due_ns: due,
-                seq: self.heap_seq.fetch_add(1, Ordering::Relaxed),
-                payload: Payload::Attempt {
-                    msg,
-                    attempt,
-                    dropped: false,
-                    route,
-                    lclock,
-                    action,
-                },
-            }));
+            let send = Payload::Attempt {
+                attempt,
+                dropped: false,
+                action,
+            };
+            self.push(q, due, h, send);
         }
-    }
-
-    /// Polls that lost the queue-lock race twice and returned a busy hint.
-    pub fn contended_polls(&self) -> u64 {
-        self.ctr.contended_polls()
-    }
-
-    /// How many dup-pair ids the receiver-side dedup set currently holds
-    /// (first copy arrived, second still in flight). Bounded by `pending`.
-    pub fn acked_len(&self) -> usize {
-        self.acked.lock().unwrap().len()
     }
 
     /// Heap entries currently queued (test hook; takes the queue lock).
@@ -540,112 +284,26 @@ impl SimNetwork {
         let _guard = self.queue.lock().unwrap();
         f()
     }
-
-    /// The configured latency parameters.
-    pub fn config(&self) -> NetConfig {
-        self.cfg
-    }
-
-    /// Snapshot every heap entry the network still owes a delivery for,
-    /// in deterministic `(msg, due_ns, seq)` order. Takes the queue lock
-    /// briefly; never executes actions.
-    pub fn inflight(&self) -> Vec<InFlight> {
-        let q = self.queue.lock().unwrap();
-        let mut out: Vec<(u64, InFlight)> = q
-            .iter()
-            .map(|Reverse(d)| {
-                let (msg, attempt, retransmit, route) = match &d.payload {
-                    Payload::Attempt {
-                        msg,
-                        attempt,
-                        dropped,
-                        route,
-                        ..
-                    } => (*msg, *attempt, *dropped, *route),
-                    Payload::Copy {
-                        msg,
-                        attempt,
-                        route,
-                        ..
-                    } => (*msg, *attempt, false, *route),
-                };
-                (
-                    d.seq,
-                    InFlight {
-                        msg,
-                        attempt,
-                        retransmit,
-                        due_ns: d.due_ns,
-                        route,
-                    },
-                )
-            })
-            .collect();
-        out.sort_by_key(|(seq, f)| (f.msg, f.due_ns, *seq));
-        out.into_iter().map(|(_, f)| f).collect()
-    }
 }
 
 impl Conduit for SimNetwork {
-    /// Inject an operation for delivery after the configured latency. The
-    /// simulated network keeps one global delay queue, so the routing hint
-    /// does not affect delivery — exactly the pre-trait behaviour,
-    /// preserving every seeded schedule byte-for-byte — but it is recorded
-    /// on the heap entry so `inflight()` can name the rank pair a stuck
-    /// message belongs to.
-    fn inject_to(&self, route: Option<(Rank, Rank)>, action: NetAction) -> u64 {
-        let msg = self.ctr.next_msg();
-        self.ctr.pending_len.fetch_add(1, Ordering::SeqCst);
-        let route = route.map(|(s, t)| (s.0, t.0));
-        // Lamport send event: tick the injecting rank's clock and stamp
-        // the wire message with the post-tick value (tracing-gated, so
-        // untraced runs never touch the clock bank).
-        let lclock = if self.ctr.tracing() {
-            self.clocks
-                .tick(self.clocks.slot_for(route.map(|(s, _)| s)))
-        } else {
-            0
-        };
-        self.record(msg, 0, NetEventKind::Inject, lclock);
-        {
-            let mut q = self.queue.lock().unwrap();
-            self.schedule_attempt(&mut q, msg, 0, route, lclock, action);
-        }
-        // New traffic: prod a parked progress thread (no-op when unarmed).
-        self.ctr.wake();
-        msg
-    }
-
-    /// Signal-carrying injection: identical wire behaviour to `inject_to`
-    /// (the badge rides inside the delivery action, which the chaos layer
-    /// already executes exactly once post-dedup), plus the signal counter.
-    fn inject_signal_to(&self, route: Option<(Rank, Rank)>, action: NetAction) -> u64 {
-        self.ctr.note_signal();
-        self.inject_to(route, action)
+    /// Queue attempt 0. The simulator keeps one global delay queue, so the
+    /// routing hint does not affect delivery — preserving every seeded
+    /// schedule byte-for-byte — but it rides on the heap entry so
+    /// `inflight()` can name the rank pair a stuck message belongs to.
+    fn inject(&self, core: &NetCore, h: Header, action: NetAction) {
+        let mut q = self.queue.lock().unwrap();
+        self.schedule_attempt(core, &mut q, h, 0, action);
     }
 
     /// Execute all deliveries whose due time has passed. Returns the number
-    /// of work items observed: deliveries performed (including suppressed
-    /// duplicates and retransmission timers fired), or a busy hint of 1
-    /// when another rank holds the queue while deliveries are outstanding —
-    /// a rank that loses the lock race must not conclude "locally idle"
-    /// while due work may exist (it would make quiescence sampling
-    /// transiently wrong).
-    fn poll(&self, world: &World) -> usize {
-        let mut q = match self.queue.try_lock() {
+    /// of heap entries popped (deliveries, suppressed duplicates, and
+    /// retransmission timers fired), or the core's busy hint when another
+    /// rank holds the queue.
+    fn poll(&self, core: &NetCore, world: &World) -> usize {
+        let mut q = match core.gate(&self.queue) {
             Ok(q) => q,
-            Err(_) => {
-                // The holder is usually mid-drain for a few microseconds;
-                // retry once before falling back to the busy hint.
-                std::thread::yield_now();
-                match self.queue.try_lock() {
-                    Ok(q) => q,
-                    Err(_) => {
-                        self.ctr.note_contended_poll();
-                        return usize::from(self.ctr.pending() > 0);
-                    }
-                }
-            }
+            Err(busy) => return busy,
         };
         if q.is_empty() {
             return 0;
@@ -675,172 +333,76 @@ impl Conduit for SimNetwork {
         }
         drop(q); // run actions without holding the lock: they may re-inject
         let n = due.len();
-        for d in due {
-            match d.payload {
+        for Delivery { h, payload, .. } in due {
+            match payload {
                 Payload::Attempt {
-                    msg,
                     attempt,
                     dropped: true,
-                    route,
-                    lclock,
                     action,
                 } => {
-                    // Retransmission timer fired: resend with the next
-                    // attempt number. The logical message stays pending:
-                    // this pops one heap entry and pushes exactly one (or
-                    // two sharing one extra `pending_len` increment if the
-                    // resend is duplicated), so `pending()` keeps mirroring
-                    // the heap length. The retransmission carries the
-                    // original send stamp — it is the same logical send.
-                    self.ctr.note_retry();
-                    self.record(msg, attempt + 1, NetEventKind::Retry, lclock);
+                    // Retransmission timer fired: one timer out, one attempt
+                    // (or a self-accounted dup pair) in, so `pending` keeps
+                    // mirroring the heap length.
+                    core.note_retry(&h, attempt + 1);
                     let mut q = self.queue.lock().unwrap();
-                    self.schedule_attempt(&mut q, msg, attempt + 1, route, lclock, action);
+                    self.schedule_attempt(core, &mut q, h, attempt + 1, action);
                 }
                 Payload::Attempt {
-                    msg,
                     attempt,
                     dropped: false,
-                    route,
-                    lclock,
                     action,
                 } => {
-                    // Lamport receive: merge the carried stamp into the
-                    // destination rank's clock before the action runs, so
-                    // every rank-side event the delivery causes is stamped
-                    // after the wire hop.
-                    let merged = if self.ctr.tracing() {
-                        self.clocks
-                            .merge(self.clocks.slot_for(route.map(|(_, t)| t)), lclock)
-                    } else {
-                        0
-                    };
-                    self.record(msg, attempt, NetEventKind::Deliver, merged);
-                    (action)(world);
-                    // Counted after the action so injected == delivered
-                    // implies no action is mid-flight (quiescence
-                    // detection).
-                    self.ctr.note_delivered();
-                    self.ctr.pending_len.fetch_sub(1, Ordering::SeqCst);
+                    let dst = h.route.map(|(_, t)| t);
+                    core.deliver(world, h.msg, attempt, h.lclock, Parked { dst, action });
                 }
-                Payload::Copy {
-                    msg,
-                    attempt,
-                    primary,
-                    route,
-                    lclock,
-                    slot,
-                } => {
-                    // Receiver-side dedup over the two wire copies. The
-                    // first arrival registers the id and takes the payload;
-                    // the second finds the id present, evicts it (keeping
-                    // `acked` bounded by in-flight dup pairs), and is
-                    // suppressed. A trailing copy that overtakes its
-                    // reordered primary is promoted, not swallowed.
-                    let first = {
-                        let mut acked = self.acked.lock().unwrap();
-                        let first = acked.insert(msg);
-                        if !first {
-                            acked.remove(&msg);
-                        }
-                        first
-                    };
-                    if first {
-                        let action = slot
-                            .lock()
-                            .unwrap()
-                            .take()
-                            .expect("first copy holds the payload");
-                        let merged = if self.ctr.tracing() {
-                            self.clocks
-                                .merge(self.clocks.slot_for(route.map(|(_, t)| t)), lclock)
-                        } else {
-                            0
-                        };
-                        self.record(msg, attempt, NetEventKind::Deliver, merged);
-                        (action)(world);
-                        self.ctr.note_delivered();
-                        if !primary {
-                            self.ctr.note_dup_promoted();
-                        }
-                    } else {
-                        self.record(msg, attempt, NetEventKind::DupDiscard, lclock);
-                        self.ctr.note_dup_suppressed();
+                Payload::Copy { attempt, primary } => {
+                    // A delivered copy retires its heap entry inside the
+                    // core's epilogue; a suppressed one retires it here.
+                    if !core.arrive(world, h.msg, attempt, h.lclock, !primary) {
+                        core.pending_gauge().fetch_sub(1, Ordering::SeqCst);
                     }
-                    self.ctr.pending_len.fetch_sub(1, Ordering::SeqCst);
                 }
             }
         }
         n
     }
 
+    /// Nanoseconds since creation under `ClockMode::Wall`, or the logical
+    /// time-warp counter under `ClockMode::Virtual` — so virtual-clock
+    /// traces are bit-replayable.
     #[inline]
     fn now_ns(&self) -> u64 {
-        SimNetwork::now_ns(self)
+        match self.cfg.clock {
+            ClockMode::Wall => self.epoch.elapsed().as_nanos() as u64,
+            ClockMode::Virtual => self.vclock.load(Ordering::SeqCst),
+        }
     }
 
-    fn injected(&self) -> u64 {
-        self.ctr.injected()
-    }
-
-    fn delivered(&self) -> u64 {
-        self.ctr.delivered()
-    }
-
-    fn pending(&self) -> usize {
-        self.ctr.pending()
-    }
-
-    fn stats(&self) -> NetStats {
-        self.ctr.stats()
-    }
-
-    fn reset_stats(&self) {
-        self.ctr.reset_stats();
-    }
-
-    fn set_tracing(&self, on: bool) {
-        self.ctr.set_tracing(on);
-    }
-
-    fn tracing(&self) -> bool {
-        self.ctr.tracing()
-    }
-
-    fn take_trace(&self) -> Vec<NetTraceEvent> {
-        self.ctr.take_trace()
-    }
-
-    fn peek_trace(&self) -> Vec<NetTraceEvent> {
-        self.ctr.peek_trace()
-    }
-
+    /// Every heap entry, in deterministic `(msg, due_ns, seq)` order. Takes
+    /// the queue lock briefly; never executes actions.
     fn inflight(&self) -> Vec<InFlight> {
-        SimNetwork::inflight(self)
-    }
-
-    fn trace_event(&self, msg: u64, attempt: u32, kind: NetEventKind, lclock: u64) {
-        self.record(msg, attempt, kind, lclock);
-    }
-
-    fn clocks(&self) -> &std::sync::Arc<LamportClocks> {
-        &self.clocks
-    }
-
-    fn note_batch(&self, ops: u64, reason: crate::aggregate::FlushReason) {
-        self.ctr.note_batch(ops, reason);
-    }
-
-    fn note_agg_occupancy(&self, depth: usize) {
-        self.ctr.note_agg_occupancy(depth);
-    }
-
-    fn set_progress_waker(&self, waker: Option<std::sync::Arc<dyn Fn() + Send + Sync>>) {
-        self.ctr.set_waker(waker);
-    }
-
-    fn wake_progress(&self) {
-        self.ctr.wake();
+        let q = self.queue.lock().unwrap();
+        let mut out: Vec<(u64, InFlight)> = q
+            .iter()
+            .map(|Reverse(d)| {
+                let (attempt, retransmit) = match d.payload {
+                    Payload::Attempt {
+                        attempt, dropped, ..
+                    } => (attempt, dropped),
+                    Payload::Copy { attempt, .. } => (attempt, false),
+                };
+                let f = InFlight {
+                    msg: d.h.msg,
+                    attempt,
+                    retransmit,
+                    due_ns: d.due_ns,
+                    route: d.h.route,
+                };
+                (d.seq, f)
+            })
+            .collect();
+        out.sort_by_key(|(seq, f)| (f.msg, f.due_ns, *seq));
+        out.into_iter().map(|(_, f)| f).collect()
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -848,24 +410,11 @@ impl Conduit for SimNetwork {
     }
 }
 
-#[inline]
-pub(crate) fn ppm(x: u64) -> u32 {
-    (x % 1_000_000) as u32
-}
-
-/// SplitMix64 mixer, used for deterministic jitter and fault fates.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::GasnexConfig;
-    use std::sync::atomic::AtomicU64;
+    use crate::conduit::{splitmix64, NetStats};
+    use crate::config::{FaultPlan, GasnexConfig};
 
     fn test_world() -> std::sync::Arc<World> {
         World::new(GasnexConfig::udp(2, 1).with_segment_size(1 << 12))
@@ -883,6 +432,7 @@ mod tests {
     /// exercise SimNetwork internals the trait doesn't expose).
     fn sim(w: &World) -> &SimNetwork {
         w.net()
+            .transport()
             .as_any()
             .downcast_ref()
             .expect("default transport is the simulator")
@@ -963,7 +513,7 @@ mod tests {
                 1,
                 "lost lock race with pending work must report busy"
             );
-            assert_eq!(sim(&w).contended_polls(), 1);
+            assert_eq!(w.net().stats().contended_polls, 1);
             assert_eq!(
                 w.net().delivered(),
                 0,
@@ -1173,10 +723,10 @@ mod tests {
 
     #[test]
     fn acked_set_stays_bounded_by_inflight_dup_pairs() {
-        // Satellite regression: the dedup set used to accumulate every
-        // delivered msg id forever. Now an id lives only between the two
-        // copies' arrivals, so at every step acked ≤ pending and the set is
-        // empty once the wire drains.
+        // Satellite regression: the dedup state used to accumulate every
+        // delivered msg id forever. Now a duplicated payload stays parked
+        // only between its two copies' arrivals, so at every step
+        // parked ≤ pending and the table is empty once the wire drains.
         let plan = FaultPlan::seeded(23)
             .with_drops(150_000)
             .with_dups(400_000)
@@ -1198,13 +748,17 @@ mod tests {
         while w.net().delivered() < n || w.net().pending() > 0 {
             w.net().poll(&w);
             assert!(
-                sim(&w).acked_len() <= w.net().pending(),
+                w.net().parked_len() <= w.net().pending(),
                 "dedup set must stay bounded by in-flight messages"
             );
             spins += 1;
             assert!(spins < 1_000_000, "chaos schedule failed to terminate");
         }
-        assert_eq!(sim(&w).acked_len(), 0, "drained wire leaves no dedup state");
+        assert_eq!(
+            w.net().parked_len(),
+            0,
+            "drained wire leaves no dedup state"
+        );
         let s = w.net().stats();
         assert!(s.dup_suppressed > 0, "plan must actually duplicate");
         assert_eq!(s.delivered, n);

@@ -5,18 +5,17 @@ use std::sync::Arc;
 use crate::alloc::SegAlloc;
 use crate::am::{AmCtx, AmMsg, AmQueues};
 use crate::clock::LamportClocks;
-use crate::conduit::udp::UdpConduit;
-use crate::conduit::Conduit;
-use crate::config::{GasnexConfig, Transport};
+use crate::conduit::NetCore;
+use crate::config::GasnexConfig;
 use crate::event::EventCore;
 use crate::mailbox::ReadyQueue;
-use crate::net::{NetAction, SimNetwork};
+use crate::net::NetAction;
 use crate::notify::NotifyTable;
 use crate::rank::{Rank, Team, Topology};
 use crate::segment::Segment;
 
 /// All state shared by the ranks of one job: segments, allocators, AM
-/// mailboxes, the conduit, and collective state.
+/// mailboxes, the network, and collective state.
 ///
 /// Created once and shared via `Arc` by every rank thread.
 pub struct World {
@@ -25,7 +24,7 @@ pub struct World {
     segments: Box<[Segment]>,
     allocs: Box<[SegAlloc]>,
     am: AmQueues,
-    net: Box<dyn Conduit>,
+    net: NetCore,
     /// Per-rank ready-notification queues: completion tokens deposited by
     /// whichever thread signals an event a rank registered a waiter on,
     /// drained FIFO by the owning rank during its progress quantum.
@@ -42,9 +41,6 @@ pub struct World {
     /// Per-rank notification words for put-with-signal badges and their
     /// parked waiters.
     notify: NotifyTable,
-    /// Shared per-rank Lamport clocks for causal tracing: one slot per
-    /// rank plus the unrouted/wire slot, ticked only while tracing is on.
-    clocks: Arc<LamportClocks>,
     /// Opaque per-rank deposits for cross-layer collection: the runtime's
     /// causal assembler parks each rank's drained trace here (as a boxed
     /// `Any`, since this crate cannot name the runtime's trace types) and
@@ -72,19 +68,9 @@ impl World {
                 Team::from_members(topo.node_ranks(node).map(Rank).collect(), 1 + node as u64)
             })
             .collect();
-        let clocks = LamportClocks::new(cfg.ranks);
-        let net: Box<dyn Conduit> = match cfg.transport {
-            Transport::Sim => Box::new(SimNetwork::new(cfg.net, Arc::clone(&clocks))),
-            Transport::UdpSocket => Box::new(UdpConduit::new(
-                cfg.net,
-                cfg.ranks as u32,
-                cfg.ranks_per_node as u32,
-                Arc::clone(&clocks),
-            )),
-        };
         Arc::new(World {
             am: AmQueues::new(cfg.ranks),
-            net,
+            net: NetCore::new(&cfg),
             ready: (0..cfg.ranks).map(|_| ReadyQueue::new()).collect(),
             segments,
             allocs,
@@ -93,7 +79,6 @@ impl World {
             splits: std::sync::Mutex::new(std::collections::HashMap::new()),
             next_team_uid: std::sync::atomic::AtomicU64::new(1_000),
             notify: NotifyTable::new(cfg.ranks, cfg.notify_words),
-            clocks,
             deposits: std::sync::Mutex::new(Vec::new()),
             topo,
             cfg,
@@ -146,10 +131,11 @@ impl World {
         &self.allocs[r.idx()]
     }
 
-    /// The conduit carrying cross-node deliveries.
+    /// The network carrying cross-node deliveries: the reliability core
+    /// and its transport.
     #[inline]
-    pub fn net(&self) -> &dyn Conduit {
-        &*self.net
+    pub fn net(&self) -> &NetCore {
+        &self.net
     }
 
     /// Whether `from` can directly address `to`'s segment (same simulated
@@ -185,24 +171,24 @@ impl World {
         );
     }
 
-    /// Inject an operation into the conduit with no routing hint.
+    /// Inject an operation into the network with no routing hint.
     pub fn net_inject(&self, action: NetAction) -> u64 {
         self.net.inject(action)
     }
 
-    /// Inject an operation into the conduit, routed from the initiating
+    /// Inject an operation into the network, routed from the initiating
     /// rank to the target rank (socket transports use the hint to pick
     /// source and destination node sockets; the simulator ignores it).
     pub fn net_inject_routed(&self, from: Rank, to: Rank, action: NetAction) -> u64 {
-        self.net.inject_to(Some((from, to)), action)
+        self.net.inject_to(Some((from, to)), action, false)
     }
 
     /// Inject a *signal-bearing* operation (a put-with-signal delivery),
     /// routed like [`net_inject_routed`](Self::net_inject_routed) but
     /// carried as signal traffic: the UDP conduit stamps a SIGNAL frame
-    /// kind on the wire and both conduits count it in `NetStats::signals`.
+    /// kind on the wire and the core counts it in `NetStats::signals`.
     pub fn net_inject_signal(&self, from: Rank, to: Rank, action: NetAction) -> u64 {
-        self.net.inject_signal_to(Some((from, to)), action)
+        self.net.inject_to(Some((from, to)), action, true)
     }
 
     /// Prod the background progress thread's waker, if one is armed (a
@@ -222,7 +208,7 @@ impl World {
     /// The shared per-rank Lamport clock bank for causal tracing.
     #[inline]
     pub fn clocks(&self) -> &Arc<LamportClocks> {
-        &self.clocks
+        self.net.clocks()
     }
 
     /// Park an opaque per-rank item for later collection by one rank (see
@@ -250,23 +236,7 @@ impl World {
     pub fn route_signal(self: &Arc<Self>, ev: &EventCore, initiator: Rank, token: u64) {
         let world = Arc::clone(self);
         ev.on_signal(move || {
-            // Lamport stamp for the signal routing: a local event on the
-            // initiator's clock (the rank whose ready queue receives the
-            // token), ordered before the Wakeup the drain will record.
-            let lclock = if world.net.tracing() {
-                world.clocks.tick(world.clocks.slot_for(Some(initiator.0)))
-            } else {
-                0
-            };
-            world.net.trace_event(
-                u64::MAX,
-                0,
-                crate::net::NetEventKind::Signal {
-                    rank: initiator.0,
-                    token,
-                },
-                lclock,
-            );
+            world.net.trace_signal(initiator.0, token);
             world.ready[initiator.idx()].push(token)
         });
     }
