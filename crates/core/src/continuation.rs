@@ -17,7 +17,7 @@
 //! of its slot; the progress thread walks the slots of its node.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -38,47 +38,71 @@ pub(crate) type Callback = Box<dyn FnOnce() + Send>;
 /// quantum or by the progress thread — exclusively, via the `draining`
 /// flag, so a callback never runs twice and never runs reentrantly inside
 /// another callback.
+///
+/// Like `gasnex::MpQueue`, it mirrors its length in an atomic stored under
+/// the lock, so the every-quantum drain and the per-op pending gauge read
+/// an empty queue without locking, and it is cache-line aligned so those
+/// lock-free reads do not share a line with another thread's hot data.
 #[derive(Default)]
+#[repr(align(64))]
 pub(crate) struct CallbackQueue {
     q: Mutex<VecDeque<(Callback, TraceOp)>>,
+    /// `q.len()` as of the last store under the lock.
+    len: AtomicUsize,
     draining: AtomicBool,
 }
+
+const _: () = assert!(
+    std::mem::align_of::<CallbackQueue>() >= 64,
+    "see `CallbackQueue`"
+);
 
 impl CallbackQueue {
     /// Enqueue a callback. Returns `true` when a drain was running at
     /// enqueue time — the callback was *deferred into* that drain's FIFO
     /// rather than opening a new one (the caller counts it).
     pub fn push(&self, cb: Callback, top: TraceOp) -> bool {
-        self.q.lock().unwrap().push_back((cb, top));
+        {
+            let mut q = self.q.lock().unwrap();
+            q.push_back((cb, top));
+            self.len.store(q.len(), Ordering::Release);
+        }
         self.draining.load(Ordering::Acquire)
     }
 
+    /// Callbacks queued now (lock-free; exact in lock order).
     pub fn len(&self) -> usize {
-        self.q.lock().unwrap().len()
+        self.len.load(Ordering::Acquire)
     }
 
     pub fn is_empty(&self) -> bool {
-        self.q.lock().unwrap().is_empty()
+        self.len() == 0
     }
 
     /// Become the exclusive drainer and run callbacks until the queue is
     /// empty — including ones enqueued *during* the drain, so a callback
     /// chain settles within one quantum. Returns the number run; returns 0
-    /// immediately when another thread is already draining (their drain
-    /// will pick up everything enqueued so far).
+    /// immediately when the queue is empty (without claiming the drain) or
+    /// when another thread is already draining (their drain will pick up
+    /// everything enqueued so far).
     ///
     /// The queue lock is never held while a callback runs, so callbacks
     /// may freely enqueue more callbacks.
     pub fn drain(&self, mut run: impl FnMut(Callback, TraceOp)) -> usize {
-        if self.draining.swap(true, Ordering::AcqRel) {
+        if self.is_empty() || self.draining.swap(true, Ordering::AcqRel) {
             return 0;
         }
         let mut n = 0;
         loop {
-            // Pop in its own statement so the queue guard drops before the
+            // Pop in its own block so the queue guard drops before the
             // callback runs (a `while let` scrutinee guard would live for
             // the whole body and deadlock nested enqueues).
-            let next = self.q.lock().unwrap().pop_front();
+            let next = {
+                let mut q = self.q.lock().unwrap();
+                let next = q.pop_front();
+                self.len.store(q.len(), Ordering::Release);
+                next
+            };
             let Some((cb, top)) = next else { break };
             run(cb, top);
             n += 1;
@@ -205,6 +229,39 @@ mod tests {
         let total: usize = threads.into_iter().map(|t| t.join().unwrap()).sum();
         assert_eq!(total, 1000);
         assert_eq!(hits.load(Ordering::SeqCst), 1000);
+    }
+
+    #[test]
+    fn len_stays_exact_through_an_enqueue_during_a_drain() {
+        let q = Arc::new(CallbackQueue::default());
+        let lens = Arc::new(Mutex::new(Vec::new()));
+        let (q2, l2) = (Arc::clone(&q), Arc::clone(&lens));
+        q.push(
+            Box::new(move || {
+                // Popped: the other callback is still queued.
+                l2.lock().unwrap().push(q2.len());
+                q2.push(Box::new(|| {}), TraceOp::NONE);
+                l2.lock().unwrap().push(q2.len());
+            }),
+            TraceOp::NONE,
+        );
+        q.push(Box::new(|| {}), TraceOp::NONE);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.drain(|cb, _| cb()), 3);
+        assert_eq!(*lens.lock().unwrap(), vec![1, 2]);
+        assert_eq!(q.len(), 0);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn drain_of_an_empty_queue_does_not_claim_the_drain() {
+        let q = CallbackQueue::default();
+        assert_eq!(q.drain(|_, _| unreachable!("nothing queued")), 0);
+        assert!(!q.draining.load(Ordering::Acquire));
+        // An enqueue after an empty drain is not reported as deferred
+        // into a running drain.
+        assert!(!q.push(Box::new(|| {}), TraceOp::NONE));
+        assert_eq!(q.drain(|cb, _| cb()), 1);
     }
 
     #[test]

@@ -80,7 +80,8 @@ pub(crate) struct RankCtx {
     /// this rank.
     pub callbacks: Arc<CallbackQueue>,
     /// Whether the conduit clock is wall time. Idle-efficiency time
-    /// accounting (`parked_ns`/`spinning_ns`/`progress_ns`) reads `Instant`
+    /// accounting (`parked_ns`/`spinning_ns`/`progress_ns`, all taken in
+    /// `wait_signal`; the quantum itself reads no clock) reads `Instant`
     /// only when this is set; virtual-clock runs keep the counters at zero
     /// so their exports stay byte-replayable.
     pub wall_clock: bool,
@@ -116,6 +117,9 @@ pub(crate) struct RankCtx {
     /// progress thread (and foreign quanta, under age-based flushing) may
     /// flush overdue buckets, hence the mutex.
     pub agg: Arc<Mutex<Option<Coalescer<TraceOp>>>>,
+    /// Whether `agg` holds a coalescer. Fixed at construction, so paths
+    /// that would only find `None` skip the mutex.
+    agg_on: bool,
 }
 
 impl RankCtx {
@@ -146,6 +150,7 @@ impl RankCtx {
             Arc::clone(&slot.callbacks),
             Arc::clone(&slot.agg),
         );
+        let agg_on = agg.lock().unwrap().is_some();
         Rc::new(RankCtx {
             world,
             me,
@@ -166,6 +171,7 @@ impl RankCtx {
             in_progress: StdCell::new(false),
             in_callback: StdCell::new(false),
             foreign_age_flush: agg_cfg.enabled && agg_cfg.max_age_ns > 0,
+            agg_on,
             trace_on: StdCell::new(false),
             tracer: RefCell::new(RankTracer::with_clocks(me.0, clocks)),
             metrics_on: StdCell::new(false),
@@ -179,21 +185,18 @@ impl RankCtx {
     /// op's trace span gets its `NetInject` stamped with whichever wire
     /// message ends up carrying it — its own, or the flushed batch's.
     pub fn inject_routed(&self, target: Rank, top: TraceOp, action: NetAction) {
-        let pushed = {
-            let mut agg = self.agg.lock().unwrap();
-            match agg.as_mut() {
-                Some(a) => a.push(target.0 as usize, action, top, self.world.net()),
-                None => {
-                    drop(agg);
-                    // Keep the routing hint: socket transports pick the
-                    // node sockets from it, and the conduit's Lamport
-                    // stamp lands on the initiating rank's clock slot
-                    // instead of the shared unrouted slot.
-                    let msg = self.world.net_inject_routed(self.me, target, action);
-                    self.trace_net_inject(top, msg);
-                    return;
-                }
-            }
+        if !self.agg_on {
+            // Keep the routing hint: socket transports pick the node
+            // sockets from it, and the conduit's Lamport stamp lands on the
+            // initiating rank's clock slot instead of the shared unrouted
+            // slot.
+            let msg = self.world.net_inject_routed(self.me, target, action);
+            self.trace_net_inject(top, msg);
+            return;
+        }
+        let pushed = match self.agg.lock().unwrap().as_mut() {
+            Some(a) => a.push(target.0 as usize, action, top, self.world.net()),
+            None => unreachable!("`agg_on` is set only when the coalescer exists"),
         };
         match pushed {
             Push::Buffered => {}
@@ -226,6 +229,9 @@ impl RankCtx {
     /// Explicitly drain every aggregation buffer (barriers, quiescence,
     /// user-requested flush). Returns the number of batches injected.
     pub fn agg_flush_explicit(&self) -> usize {
+        if !self.agg_on {
+            return 0;
+        }
         let batches = match self.agg.lock().unwrap().as_mut() {
             Some(a) => a.flush_all(self.world.net(), FlushReason::Explicit),
             None => return 0,
@@ -343,8 +349,7 @@ impl RankCtx {
     /// it closes the op's trace span, feeds the latency histogram, and
     /// counts in `callbacks_run`.
     fn drain_callbacks(&self) -> usize {
-        let q = Arc::clone(&self.callbacks);
-        q.drain(|cb, top| {
+        self.callbacks.drain(|cb, top| {
             bump(&self.stats.callbacks_run);
             if self.trace_on.get() && !top.is_none() {
                 let ts = self.trace_now_ns();
@@ -381,10 +386,8 @@ impl RankCtx {
         }
         self.in_progress.set(true);
         bump(&self.stats.progress_calls);
-        // Idle-efficiency accounting: time spent inside the quantum is
-        // "progress time". Wall clock only — virtual-clock runs must stay
-        // deterministic, so they never read `Instant`.
-        let quantum_start = self.wall_clock.then(std::time::Instant::now);
+        // No clock read here: idle accounting belongs to the wait loops
+        // that spin on quanta (`wait_signal`), which time each iteration.
         let mut n = self.world.poll_rank(self.me, 64);
 
         // Ready-queue drain: bounded to the tokens present now (callbacks
@@ -407,7 +410,9 @@ impl RankCtx {
         // Every waiter still pending is one event the poll-scan engine
         // would have re-tested (and re-queued) this quantum.
         let residual = self.event_waiters.borrow().len() as u64;
-        add(&self.stats.polls_elided, residual);
+        if residual > 0 {
+            add(&self.stats.polls_elided, residual);
+        }
 
         // Deliver rank-local deferred notifications. Process at most the
         // entries present at entry (callbacks may enqueue more, handled next
@@ -449,17 +454,14 @@ impl RankCtx {
         // never fire — the backstop keeps waits live. A flush is work
         // (n counts it), so quiescence keeps spinning until the buffers
         // and their in-flight batches drain.
-        let flushed = match self.agg.lock().unwrap().as_mut() {
-            Some(a) => {
-                if n == 0 {
-                    a.flush_all(self.world.net(), FlushReason::Age)
-                } else {
-                    a.flush_due(self.world.net())
-                }
-            }
-            None => Vec::new(),
-        };
-        n += self.trace_batches(&flushed);
+        if self.agg_on {
+            let flushed = match self.agg.lock().unwrap().as_mut() {
+                Some(a) if n == 0 => a.flush_all(self.world.net(), FlushReason::Age),
+                Some(a) => a.flush_due(self.world.net()),
+                None => Vec::new(),
+            };
+            n += self.trace_batches(&flushed);
+        }
         // Age-flush starvation fix: under age-based flushing, also flush
         // *other* ranks' overdue buckets — a sender that stopped calling
         // progress() cannot advance its own age trigger. Foreign batches
@@ -493,9 +495,6 @@ impl RankCtx {
                 .borrow_mut()
                 .maybe_sample(now, || crate::metrics::collect_values(self));
         }
-        if let Some(start) = quantum_start {
-            add(&self.stats.progress_ns, start.elapsed().as_nanos() as u64);
-        }
         self.in_progress.set(false);
         n
     }
@@ -520,12 +519,13 @@ impl RankCtx {
             && self.world.ready_queued(self.me) == 0
             && self.replies.borrow().is_empty()
             && self.world.ams_queued(self.me) == 0
-            && self
-                .agg
-                .lock()
-                .unwrap()
-                .as_ref()
-                .is_none_or(|a| a.buffered() == 0)
+            && (!self.agg_on
+                || self
+                    .agg
+                    .lock()
+                    .unwrap()
+                    .as_ref()
+                    .is_none_or(|a| a.buffered() == 0))
     }
 }
 

@@ -277,21 +277,17 @@ impl Upcr {
                 bump(&ctx.stats.polls_while_parked);
                 if wall {
                     // Refused reservation: this rank burns CPU re-testing.
-                    // Whatever part of the iteration was *not* inside the
-                    // progress quantum is spinning time.
+                    // The whole iteration is progress time when its
+                    // quantum did work, spinning time when it found none.
                     let t0 = std::time::Instant::now();
-                    let p0 = ctx
-                        .stats
-                        .progress_ns
-                        .load(std::sync::atomic::Ordering::Relaxed);
-                    ctx.progress_quantum();
+                    let did = ctx.progress_quantum();
                     let spent = t0.elapsed().as_nanos() as u64;
-                    let in_progress = ctx
-                        .stats
-                        .progress_ns
-                        .load(std::sync::atomic::Ordering::Relaxed)
-                        .saturating_sub(p0);
-                    add(&ctx.stats.spinning_ns, spent.saturating_sub(in_progress));
+                    let bucket = if did > 0 {
+                        &ctx.stats.progress_ns
+                    } else {
+                        &ctx.stats.spinning_ns
+                    };
+                    add(bucket, spent);
                 } else {
                     ctx.progress_quantum();
                 }
@@ -495,6 +491,54 @@ mod tests {
             );
             u.progress();
         });
+    }
+
+    #[test]
+    fn idle_accounting_counts_only_signal_wait_iterations() {
+        // Wall clock (the default). `parked_ns`/`spinning_ns`/`progress_ns`
+        // partition *wait* time: progress() and Future::wait read no clock,
+        // so they leave the counters at zero; a wait_signal that must spin
+        // (ranks = 1 refuses every park reservation) times each iteration.
+        launch(
+            RuntimeConfig::smp(1)
+                .with_segment_size(1 << 14)
+                .with_version(crate::LibVersion::V2021_3_6Defer),
+            |u| {
+                let p = u.new_::<u64>(0);
+                u.reset_stats();
+                for i in 0..100 {
+                    u.rput(i, p).wait();
+                    u.progress();
+                }
+                let s = u.stats();
+                assert!(s.progress_calls >= 200, "the waits ran quanta");
+                assert_eq!(s.progress_ns, 0, "a quantum reads no clock");
+                assert_eq!(s.spinning_ns, 0);
+
+                // The badge is posted by the third quantum's deferred check:
+                // two idle iterations (spinning), then one that did work.
+                let checks = std::rc::Rc::new(std::cell::Cell::new(0));
+                let c = std::rc::Rc::clone(&checks);
+                let world = std::sync::Arc::clone(&u.ctx.world);
+                let me = u.me();
+                u.ctx.push_deferred(crate::ctx::Deferred::OnCheck(
+                    Box::new(move || {
+                        c.set(c.get() + 1);
+                        c.get() >= 3
+                    }),
+                    Box::new(move || {
+                        world.notify().post(me, 0, 0b1);
+                    }),
+                ));
+                assert_eq!(u.wait_signal(0, 0b1), 0b1);
+                assert_eq!(checks.get(), 3);
+                let s = u.stats();
+                assert_eq!(s.polls_while_parked, 3, "every iteration polled");
+                assert!(s.progress_ns > 0, "the delivering iteration did work");
+                let ppm = crate::metrics::idle_fraction_ppm(&s);
+                assert!(ppm <= 1_000_000, "idle fraction {ppm} ppm out of range");
+            },
+        );
     }
 
     #[test]

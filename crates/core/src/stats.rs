@@ -82,12 +82,18 @@ gasnex::stats_fields! {
     /// CPU). Measured only under `ClockMode::Wall`; deterministic
     /// virtual-clock runs report zero so their exports stay replayable.
     parked_ns: u64 = counter,
-    /// Wall-clock nanoseconds this rank spent in wait loops *between*
-    /// progress quanta — burning CPU on re-tests rather than useful
-    /// progress. Wall-clock only, like `parked_ns`.
+    /// Wall-clock nanoseconds of `wait_signal` poll iterations (refused
+    /// park reservation) whose progress quantum found no work: CPU burnt
+    /// re-testing. Wall-clock only, like `parked_ns`. Together with
+    /// `parked_ns` and `progress_ns` it partitions *wait* time; the
+    /// progress quantum itself reads no clock, so `progress()` and
+    /// `Future::wait` leave all three untouched.
     spinning_ns: u64 = counter,
-    /// Wall-clock nanoseconds spent inside progress quanta (conduit polls,
-    /// deferred drains, coalescer flushes). Wall-clock only.
+    /// Wall-clock nanoseconds of `wait_signal` poll iterations whose
+    /// progress quantum did work (conduit deliveries, wakeups, deferred or
+    /// callback drains, coalescer flushes). Each iteration is timed whole
+    /// and lands in exactly one of `progress_ns` / `spinning_ns`.
+    /// Wall-clock only.
     progress_ns: u64 = counter,
     /// Happens-before edges assembled by the causal tracer on this rank
     /// (rank 0 assembles; other ranks report zero).
@@ -137,10 +143,14 @@ pub(crate) fn add(c: &AtomicU64, v: u64) {
     c.fetch_add(v, Ordering::Relaxed);
 }
 
-/// Raise a gauge to at least `v` (high-water marks).
+/// Raise a gauge to at least `v` (high-water marks). The plain load first
+/// keeps the common "already at least `v`" case a read, not a
+/// read-modify-write of a line another thread may be reading.
 #[inline]
 pub(crate) fn raise(c: &AtomicU64, v: u64) {
-    c.fetch_max(v, Ordering::Relaxed);
+    if c.load(Ordering::Relaxed) < v {
+        c.fetch_max(v, Ordering::Relaxed);
+    }
 }
 
 #[cfg(test)]

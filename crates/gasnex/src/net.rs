@@ -300,7 +300,16 @@ impl Conduit for SimNetwork {
     /// of heap entries popped (deliveries, suppressed duplicates, and
     /// retransmission timers fired), or the core's busy hint when another
     /// rank holds the queue.
+    ///
+    /// With nothing pending the poll returns 0 before touching the lock:
+    /// `pending` is raised before a heap push and lowered only after the
+    /// popped entry is retired, so it is never below the heap length, and
+    /// zero means the heap is empty. (The UDP conduit cannot take this
+    /// shortcut: its poll must keep reading ACKs for delivered messages.)
     fn poll(&self, core: &NetCore, world: &World) -> usize {
+        if core.pending() == 0 {
+            return 0;
+        }
         let mut q = match core.gate(&self.queue) {
             Ok(q) => q,
             Err(busy) => return busy,
@@ -530,6 +539,53 @@ mod tests {
         sim(&w).while_queue_locked(|| {
             assert_eq!(w.net().poll(&w), 0);
         });
+    }
+
+    /// Run `f` while another thread holds the sim queue lock (a rank
+    /// mid-drain). The holder lets go when `f` returns or panics: either
+    /// way the release sender is dropped.
+    fn with_queue_held_elsewhere(w: &World, f: impl FnOnce()) {
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(move |s| {
+            s.spawn(move || {
+                sim(w).while_queue_locked(|| {
+                    held_tx.send(()).unwrap();
+                    let _ = release_rx.recv();
+                })
+            });
+            held_rx.recv().unwrap();
+            f();
+            drop(release_tx);
+        });
+    }
+
+    #[test]
+    fn idle_poll_skips_the_queue_lock() {
+        let w = world_with_net(NetConfig {
+            latency_ns: 0,
+            jitter_ns: 0,
+            ..NetConfig::default()
+        });
+        // With nothing pending, the poll answers idle without contending.
+        with_queue_held_elsewhere(&w, || {
+            assert_eq!(w.net().poll(&w), 0);
+            assert_eq!(
+                w.net().stats().contended_polls,
+                0,
+                "an idle poll never reaches the lock gate"
+            );
+        });
+        // With one message pending, the held lock still yields the busy
+        // hint: the shortcut never hides outstanding work.
+        w.net().inject(Box::new(|_| {}));
+        with_queue_held_elsewhere(&w, || {
+            assert_eq!(w.net().poll(&w), 1, "busy hint with work pending");
+            assert_eq!(w.net().stats().contended_polls, 1);
+            assert_eq!(w.net().delivered(), 0);
+        });
+        assert_eq!(w.net().poll(&w), 1);
+        assert_eq!(w.net().pending(), 0);
     }
 
     #[test]
