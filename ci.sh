@@ -58,7 +58,11 @@
 #                    wall-clock benchmark build + smoke: perfbench has its
 #                    own [workspace], so no other job compiles it; build it
 #                    and run each BENCHMARK.json workload traced for 30 s.
-#                    Any failed output check exits non-zero.
+#                    Any failed output check exits non-zero, and each run's
+#                    exact counts (bytes per put, future allocations,
+#                    progress calls, wakeups, wire messages, matching
+#                    rounds) must equal ci/baseline/perfbench_counts.json
+#                    with zero tolerance.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -266,12 +270,18 @@ case "$job" in
     # An API change in gasnex/upcr can break the benchmark unseen, because
     # `cargo build --workspace` never reaches it. Runs shorter than 30 s
     # are avoided: a traced child can be left with no latency samples.
+    # The counts do not depend on the host, so they are gated exactly;
+    # after a change that moves one on purpose, regenerate its entry with
+    # `python3 ci/perfbench_counts.py <baseline> <workload> <output> --update`.
     echo "==> cargo build --release --manifest-path perfbench/Cargo.toml"
     cargo build --offline --release -q --manifest-path perfbench/Cargo.toml
+    out="$(mktemp -d)"
     for w in onnode_eager onnode_defer offnode_eager; do
       echo "==> perfbench --workload $w --seed 1 --seconds 30 --trace 1"
       timeout 300 cargo run --offline --release -q --manifest-path perfbench/Cargo.toml -- \
-        --workload "$w" --seed 1 --seconds 30 --trace 1
+        --workload "$w" --seed 1 --seconds 30 --trace 1 | tee "$out/$w.txt"
+      echo "==> exact counts vs ci/baseline/perfbench_counts.json"
+      python3 ci/perfbench_counts.py ci/baseline/perfbench_counts.json "$w" "$out/$w.txt"
     done
 
     echo "Perfbench smoke green."

@@ -18,10 +18,9 @@ use std::marker::PhantomData;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use gasnex::{AmoOp, EventCore, Rank};
-use std::sync::Mutex;
+use gasnex::{AmoOp, Rank};
 
-use crate::completion::{operation_cx, Completions, CxValue, Notifier};
+use crate::completion::{operation_cx, Completions, CxValue, Notifier, OpEvent};
 use crate::ctx::RankCtx;
 use crate::future::Future;
 use crate::global_ptr::{GlobalPtr, SegValue};
@@ -176,11 +175,9 @@ impl<T: AtomicValue> AtomicDomain<T> {
             cx.notify(&Notifier::sync(ctx, top, wrap(prior)))
         } else {
             bump(&ctx.stats.net_injected);
-            let core = EventCore::new();
-            let slot: Arc<Mutex<Option<V>>> = Arc::new(Mutex::new(None));
+            let rec = OpEvent::new();
             let (rank, off) = (target.rank(), target.offset());
-            let core2 = Arc::clone(&core);
-            let slot2 = Arc::clone(&slot);
+            let rec2 = Arc::clone(&rec);
             let signed = T::SIGNED;
             let action: gasnex::net::NetAction = Box::new(move |w: &gasnex::World| {
                 let prior =
@@ -188,8 +185,7 @@ impl<T: AtomicValue> AtomicDomain<T> {
                 if let FetchDest::Memory(r, roff) = dest {
                     w.segment(r).write_u64(roff, prior);
                 }
-                *slot2.lock().unwrap() = Some(wrap(prior));
-                core2.signal();
+                rec2.complete(wrap(prior));
             });
             if aggregate {
                 ctx.inject_routed(rank, top, action);
@@ -197,7 +193,7 @@ impl<T: AtomicValue> AtomicDomain<T> {
                 let msg = ctx.world.net_inject(action);
                 ctx.trace_net_inject(top, msg);
             }
-            cx.notify(&Notifier::pending(ctx, top, core, slot))
+            cx.notify(&Notifier::pending(ctx, top, rec))
         }
     }
 

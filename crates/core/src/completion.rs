@@ -99,17 +99,62 @@ fn is_unit<V: 'static>() -> bool {
     TypeId::of::<V>() == TypeId::of::<()>()
 }
 
+/// The completion record of an asynchronous operation: its event and
+/// the slot its value lands in, in one allocation. The delivery action
+/// stores the value, then signals; waiters read the value after the
+/// signal. Unit operations start with the slot already holding `()`.
+pub(crate) struct OpEvent<V> {
+    pub ev: EventCore,
+    slot: Mutex<Option<V>>,
+}
+
+impl<V: CxValue> OpEvent<V> {
+    /// A record whose value arrives with the completion.
+    pub fn new() -> Arc<Self> {
+        Self::holding(None)
+    }
+
+    fn holding(v: Option<V>) -> Arc<Self> {
+        Arc::new(OpEvent {
+            ev: EventCore::default(),
+            slot: Mutex::new(v),
+        })
+    }
+
+    /// Store the produced value, then signal completion.
+    pub fn complete(&self, v: V) {
+        *self
+            .slot
+            .lock()
+            .expect("slot poisoned by a panicking reader") = Some(v);
+        self.ev.signal();
+    }
+
+    /// The produced value; only valid once the event has signalled.
+    fn value(&self) -> V {
+        self.slot
+            .lock()
+            .expect("slot poisoned by a panicking delivery")
+            .clone()
+            .expect("operation event signalled before its value was stored")
+    }
+}
+
+impl OpEvent<()> {
+    /// A record for a value-less operation: completion is `ev.signal()`.
+    pub fn unit() -> Arc<Self> {
+        Self::holding(Some(()))
+    }
+}
+
 /// How the data movement of an operation completed.
 pub(crate) enum Disp<V: CxValue> {
     /// Synchronously, during initiation, producing `V` — eligible for eager
     /// notification.
     Sync(V),
-    /// Asynchronously: `ev` signals when done; the produced value (if any)
-    /// lands in `slot` before the signal.
-    Async {
-        ev: Arc<EventCore>,
-        slot: Arc<Mutex<Option<V>>>,
-    },
+    /// Asynchronously: the record's event signals when done, after the
+    /// produced value (if any) landed in its slot.
+    Async(Arc<OpEvent<V>>),
 }
 
 /// Routes each requested notification either eagerly or through the
@@ -136,15 +181,10 @@ impl<'a, V: CxValue> Notifier<'a, V> {
         }
     }
 
-    pub(crate) fn pending(
-        ctx: &'a RankCtx,
-        top: TraceOp,
-        ev: Arc<EventCore>,
-        slot: Arc<Mutex<Option<V>>>,
-    ) -> Self {
+    pub(crate) fn pending(ctx: &'a RankCtx, top: TraceOp, rec: Arc<OpEvent<V>>) -> Self {
         Notifier {
             ctx,
-            op: Disp::Async { ev, slot },
+            op: Disp::Async(rec),
             top,
         }
     }
@@ -190,22 +230,17 @@ impl<'a, V: CxValue> Notifier<'a, V> {
                     Future::from_cell(cell)
                 }
             }
-            Disp::Async { ev, slot } => {
+            Disp::Async(rec) => {
                 let cell = new_cell::<V>(1);
                 let c = Rc::clone(&cell);
-                let slot = Arc::clone(slot);
+                let r = Arc::clone(rec);
                 let top = self.top;
                 // Signal-driven: the completion token wakes this exact
                 // notification; the progress engine never re-tests the event.
                 self.ctx.register_on_event(
-                    ev,
+                    &rec.ev,
                     Box::new(move || {
-                        let v = slot
-                            .lock()
-                            .unwrap()
-                            .clone()
-                            .expect("operation event signalled before its value was stored");
-                        c.set_value(v);
+                        c.set_value(r.value());
                         c.fulfill(1);
                         crate::ctx::trace_notify(top, CompletionPath::Deferred);
                     }),
@@ -241,20 +276,16 @@ impl<'a, V: CxValue> Notifier<'a, V> {
                     })));
                 }
             }
-            Disp::Async { ev, slot } => {
+            Disp::Async(rec) => {
                 p.require_anonymous(1);
                 let p2 = p.clone();
-                let slot = Arc::clone(slot);
+                let r = Arc::clone(rec);
                 let top = self.top;
                 self.ctx.register_on_event(
-                    ev,
+                    &rec.ev,
                     Box::new(move || {
                         if !is_unit::<V>() {
-                            let v =
-                                slot.lock().unwrap().clone().expect(
-                                    "operation event signalled before its value was stored",
-                                );
-                            p2.set_value_only(v);
+                            p2.set_value_only(r.value());
                         }
                         p2.fulfill_anonymous(1);
                         crate::ctx::trace_notify(top, CompletionPath::Deferred);
@@ -281,18 +312,13 @@ impl<'a, V: CxValue> Notifier<'a, V> {
                     })));
                 }
             }
-            Disp::Async { ev, slot } => {
-                let slot = Arc::clone(slot);
+            Disp::Async(rec) => {
+                let r = Arc::clone(rec);
                 let top = self.top;
                 self.ctx.register_on_event(
-                    ev,
+                    &rec.ev,
                     Box::new(move || {
-                        let v = slot
-                            .lock()
-                            .unwrap()
-                            .clone()
-                            .expect("operation event signalled before its value was stored");
-                        f(v);
+                        f(r.value());
                         crate::ctx::trace_notify(top, CompletionPath::Deferred);
                     }),
                 );
@@ -317,17 +343,15 @@ impl<'a, V: CxValue> Notifier<'a, V> {
                 let v = v.clone();
                 self.ctx.enqueue_callback(Box::new(move || f(v)), top);
             }
-            Disp::Async { ev, slot } => {
-                let slot = Arc::clone(slot);
+            Disp::Async(rec) => {
+                let r = Arc::clone(rec);
                 let q = Arc::clone(&self.ctx.callbacks);
                 let stats = Arc::clone(&self.ctx.stats);
                 let world = Arc::clone(&self.ctx.world);
-                ev.on_signal(move || {
-                    let v = slot
-                        .lock()
-                        .unwrap()
-                        .clone()
-                        .expect("operation event signalled before its value was stored");
+                // This waiter lives in `rec.ev` and holds `rec`; the
+                // cycle ends when the signal takes and runs it.
+                rec.ev.on_signal(move || {
+                    let v = r.value();
                     // The signalling thread may be mid-drain of this very
                     // queue (a callback issued the op): count the deferral,
                     // exactly as enqueue_callback does on the rank thread.

@@ -10,9 +10,7 @@
 
 use std::sync::Arc;
 
-use std::sync::Mutex;
-
-use crate::completion::{operation_cx, Completions, CxValue, Notifier, RemoteFn};
+use crate::completion::{operation_cx, Completions, CxValue, Notifier, OpEvent, RemoteFn};
 use crate::ctx::RankCtx;
 use crate::future::Future;
 use crate::global_ptr::{GlobalPtr, SegValue};
@@ -78,10 +76,10 @@ impl Upcr {
             cx.notify(&Notifier::sync(ctx, top, ()))
         } else {
             bump(&ctx.stats.net_injected);
-            let core = gasnex::EventCore::new();
+            let rec = OpEvent::unit();
             let (rank, off, bits) = (dst.rank(), dst.offset(), val.to_bits());
             let src = ctx.me;
-            let core2 = Arc::clone(&core);
+            let rec2 = Arc::clone(&rec);
             // Fine-grained scalar put: eligible for sender-side aggregation.
             ctx.inject_routed(
                 rank,
@@ -91,15 +89,10 @@ impl Upcr {
                     for f in rpcs {
                         w.send_am(rank, src, move |_| f());
                     }
-                    core2.signal();
+                    rec2.ev.signal();
                 }),
             );
-            cx.notify(&Notifier::pending(
-                ctx,
-                top,
-                core,
-                Arc::new(Mutex::new(Some(()))),
-            ))
+            cx.notify(&Notifier::pending(ctx, top, rec))
         }
     }
 
@@ -136,18 +129,14 @@ impl Upcr {
             cx.notify(&Notifier::sync(ctx, top, v))
         } else {
             bump(&ctx.stats.net_injected);
-            let core = gasnex::EventCore::new();
-            let slot: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
+            let rec = OpEvent::new();
             let (rank, off) = (src.rank(), src.offset());
-            let core2 = Arc::clone(&core);
-            let slot2 = Arc::clone(&slot);
+            let rec2 = Arc::clone(&rec);
             let msg = ctx.world.net_inject(Box::new(move |w| {
-                let v = T::from_bits(w.segment(rank).read_scalar(off, T::SIZE));
-                *slot2.lock().unwrap() = Some(v);
-                core2.signal();
+                rec2.complete(T::from_bits(w.segment(rank).read_scalar(off, T::SIZE)));
             }));
             ctx.trace_net_inject(top, msg);
-            cx.notify(&Notifier::pending(ctx, top, core, slot))
+            cx.notify(&Notifier::pending(ctx, top, rec))
         }
     }
 
@@ -182,11 +171,11 @@ impl Upcr {
             cx.notify(&Notifier::sync(ctx, top, ()))
         } else {
             bump(&ctx.stats.net_injected);
-            let core = gasnex::EventCore::new();
+            let rec = OpEvent::unit();
             let data: Vec<T> = src.to_vec();
             let (rank, off) = (dst.rank(), dst.offset());
             let me = ctx.me;
-            let core2 = Arc::clone(&core);
+            let rec2 = Arc::clone(&rec);
             let msg = ctx.world.net_inject(Box::new(move |w| {
                 let seg = w.segment(rank);
                 for (i, v) in data.iter().enumerate() {
@@ -195,15 +184,10 @@ impl Upcr {
                 for f in rpcs {
                     w.send_am(rank, me, move |_| f());
                 }
-                core2.signal();
+                rec2.ev.signal();
             }));
             ctx.trace_net_inject(top, msg);
-            cx.notify(&Notifier::pending(
-                ctx,
-                top,
-                core,
-                Arc::new(Mutex::new(Some(()))),
-            ))
+            cx.notify(&Notifier::pending(ctx, top, rec))
         }
     }
 
@@ -257,8 +241,8 @@ impl Upcr {
             cx.notify(&Notifier::sync(ctx, top, ()))
         } else {
             bump(&ctx.stats.net_injected);
-            let core = gasnex::EventCore::new();
-            let core2 = Arc::clone(&core);
+            let rec = OpEvent::unit();
+            let rec2 = Arc::clone(&rec);
             let me = ctx.me;
             let dst_rank = dst.rank();
             let msg = ctx.world.net_inject(Box::new(move |w| {
@@ -266,15 +250,10 @@ impl Upcr {
                 for f in rpcs {
                     w.send_am(dst_rank, me, move |_| f());
                 }
-                core2.signal();
+                rec2.ev.signal();
             }));
             ctx.trace_net_inject(top, msg);
-            cx.notify(&Notifier::pending(
-                ctx,
-                top,
-                core,
-                Arc::new(Mutex::new(Some(()))),
-            ))
+            cx.notify(&Notifier::pending(ctx, top, rec))
         }
     }
 
@@ -311,21 +290,18 @@ impl Upcr {
             cx.notify(&Notifier::sync(ctx, top, data))
         } else {
             bump(&ctx.stats.net_injected);
-            let core = gasnex::EventCore::new();
-            let slot: Arc<Mutex<Option<Vec<T>>>> = Arc::new(Mutex::new(None));
+            let rec = OpEvent::new();
             let (rank, off) = (src.rank(), src.offset());
-            let core2 = Arc::clone(&core);
-            let slot2 = Arc::clone(&slot);
+            let rec2 = Arc::clone(&rec);
             let msg = ctx.world.net_inject(Box::new(move |w| {
                 let seg = w.segment(rank);
                 let data: Vec<T> = (0..n)
                     .map(|i| T::from_bits(seg.read_scalar(off + i * T::SIZE, T::SIZE)))
                     .collect();
-                *slot2.lock().unwrap() = Some(data);
-                core2.signal();
+                rec2.complete(data);
             }));
             ctx.trace_net_inject(top, msg);
-            cx.notify(&Notifier::pending(ctx, top, core, slot))
+            cx.notify(&Notifier::pending(ctx, top, rec))
         }
     }
 }

@@ -33,11 +33,11 @@
 //! operation this rank issued before the signal (point-to-point ordering
 //! under uniform latency, acks/retries otherwise).
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use gasnex::{AmoOp, EventCore};
 
-use crate::completion::{operation_cx, Completions, Notifier};
+use crate::completion::{operation_cx, Completions, Notifier, OpEvent};
 use crate::ctx::RankCtx;
 use crate::future::Future;
 use crate::global_ptr::{GlobalPtr, SegValue};
@@ -91,9 +91,9 @@ impl Upcr {
             // Release edge: everything this rank buffered goes on the wire
             // before the signal message is injected.
             ctx.agg_flush_explicit();
-            let core = EventCore::new();
+            let rec = OpEvent::unit();
             let (off, bits) = (dst.offset(), val.to_bits());
-            let core2 = Arc::clone(&core);
+            let rec2 = Arc::clone(&rec);
             let msg = ctx.world.net_inject_signal(
                 ctx.me,
                 rank,
@@ -102,16 +102,11 @@ impl Upcr {
                     if w.notify().post(rank, word, badge) {
                         let _ = crate::ctx::try_with_ctx(|c| bump(&c.stats.signals_coalesced));
                     }
-                    core2.signal();
+                    rec2.ev.signal();
                 }),
             );
             ctx.trace_net_inject(top, msg);
-            cx.notify(&Notifier::pending(
-                ctx,
-                top,
-                core,
-                Arc::new(Mutex::new(Some(()))),
-            ))
+            cx.notify(&Notifier::pending(ctx, top, rec))
         }
     }
 
@@ -152,8 +147,8 @@ impl Upcr {
         } else {
             bump(&ctx.stats.net_injected);
             ctx.agg_flush_explicit();
-            let core = EventCore::new();
-            let core2 = Arc::clone(&core);
+            let rec = OpEvent::unit();
+            let rec2 = Arc::clone(&rec);
             let msg = ctx.world.net_inject_signal(
                 ctx.me,
                 rank,
@@ -162,16 +157,11 @@ impl Upcr {
                     if w.notify().post(rank, word, badge) {
                         let _ = crate::ctx::try_with_ctx(|c| bump(&c.stats.signals_coalesced));
                     }
-                    core2.signal();
+                    rec2.ev.signal();
                 }),
             );
             ctx.trace_net_inject(top, msg);
-            cx.notify(&Notifier::pending(
-                ctx,
-                top,
-                core,
-                Arc::new(Mutex::new(Some(()))),
-            ))
+            cx.notify(&Notifier::pending(ctx, top, rec))
         }
     }
 

@@ -11,9 +11,7 @@
 
 use std::sync::Arc;
 
-use std::sync::Mutex;
-
-use crate::completion::{operation_cx, Completions, Notifier};
+use crate::completion::{operation_cx, Completions, Notifier, OpEvent};
 use crate::future::Future;
 use crate::global_ptr::{GlobalPtr, SegValue};
 use crate::runtime::Upcr;
@@ -103,8 +101,8 @@ impl Upcr {
             cx.notify(&Notifier::sync(ctx, top, ()))
         } else {
             bump(&ctx.stats.net_injected);
-            let core = gasnex::EventCore::new();
-            let core2 = Arc::clone(&core);
+            let rec = OpEvent::unit();
+            let rec2 = Arc::clone(&rec);
             let data = src.to_vec();
             let me = ctx.me;
             let dst_rank = dst.rank();
@@ -113,15 +111,10 @@ impl Upcr {
                 for f in rpcs {
                     w.send_am(dst_rank, me, move |_| f());
                 }
-                core2.signal();
+                rec2.ev.signal();
             }));
             ctx.trace_net_inject(top, msg);
-            cx.notify(&Notifier::pending(
-                ctx,
-                top,
-                core,
-                Arc::new(Mutex::new(Some(()))),
-            ))
+            cx.notify(&Notifier::pending(ctx, top, rec))
         }
     }
 
@@ -166,16 +159,13 @@ impl Upcr {
             cx.notify(&Notifier::sync(ctx, top, data))
         } else {
             bump(&ctx.stats.net_injected);
-            let core = gasnex::EventCore::new();
-            let slot: Arc<Mutex<Option<Vec<T>>>> = Arc::new(Mutex::new(None));
-            let core2 = Arc::clone(&core);
-            let slot2 = Arc::clone(&slot);
-            let msg = ctx.world.net_inject(Box::new(move |w| {
-                *slot2.lock().unwrap() = Some(read_all(w));
-                core2.signal();
-            }));
+            let rec = OpEvent::new();
+            let rec2 = Arc::clone(&rec);
+            let msg = ctx
+                .world
+                .net_inject(Box::new(move |w| rec2.complete(read_all(w))));
             ctx.trace_net_inject(top, msg);
-            cx.notify(&Notifier::pending(ctx, top, core, slot))
+            cx.notify(&Notifier::pending(ctx, top, rec))
         }
     }
 
@@ -220,22 +210,17 @@ impl Upcr {
             cx.notify(&Notifier::sync(ctx, top, ()))
         } else {
             bump(&ctx.stats.net_injected);
-            let core = gasnex::EventCore::new();
-            let core2 = Arc::clone(&core);
+            let rec = OpEvent::unit();
+            let rec2 = Arc::clone(&rec);
             let size = T::SIZE;
             let msg = ctx.world.net_inject(Box::new(move |w| {
                 for (rank, off, bits) in remote {
                     w.segment(rank).write_scalar(off, size, bits);
                 }
-                core2.signal();
+                rec2.ev.signal();
             }));
             ctx.trace_net_inject(top, msg);
-            cx.notify(&Notifier::pending(
-                ctx,
-                top,
-                core,
-                Arc::new(Mutex::new(Some(()))),
-            ))
+            cx.notify(&Notifier::pending(ctx, top, rec))
         }
     }
 }

@@ -17,8 +17,40 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// A one-shot callback run by the signalling thread.
-type Waiter = Box<dyn FnOnce() + Send>;
+use crate::rank::Rank;
+use crate::world::World;
+
+/// A one-shot action run by the signalling thread.
+pub(crate) enum Waiter {
+    /// An arbitrary callback ([`EventCore::on_signal`]).
+    Run(Box<dyn FnOnce() + Send>),
+    /// Deposit `token` into `rank`'s ready queue
+    /// ([`World::route_signal`]): plain data, so routing an op's
+    /// completion boxes nothing.
+    Route {
+        world: Arc<World>,
+        rank: Rank,
+        token: u64,
+    },
+}
+
+impl Waiter {
+    fn run(self) {
+        match self {
+            Waiter::Run(f) => f(),
+            Waiter::Route { world, rank, token } => world.deposit_token(rank, token),
+        }
+    }
+}
+
+/// The registered waiters, in registration order. The first sits inline,
+/// so an event with one waiter (the common case: one routed token)
+/// never allocates the `Vec`.
+#[derive(Default)]
+struct Waiters {
+    first: Option<Waiter>,
+    rest: Vec<Waiter>,
+}
 
 /// Shared completion flag for an in-flight operation.
 ///
@@ -34,7 +66,7 @@ type Waiter = Box<dyn FnOnce() + Send>;
 #[derive(Default)]
 pub struct EventCore {
     done: AtomicBool,
-    waiters: Mutex<Vec<Waiter>>,
+    waiters: Mutex<Waiters>,
 }
 
 impl std::fmt::Debug for EventCore {
@@ -49,10 +81,7 @@ impl std::fmt::Debug for EventCore {
 impl EventCore {
     /// A fresh, unsignalled event.
     pub fn new() -> Arc<Self> {
-        Arc::new(EventCore {
-            done: AtomicBool::new(false),
-            waiters: Mutex::new(Vec::new()),
-        })
+        Arc::new(EventCore::default())
     }
 
     /// Mark the operation complete and run the registered waiters, if any,
@@ -63,13 +92,13 @@ impl EventCore {
         // The flag is published while the lock is held; on_signal checks
         // it under the same lock, so a waiter is never lost: every waiter
         // is either taken here or run by the registering thread.
-        let taken = {
+        let Waiters { first, rest } = {
             let mut slot = self.waiters.lock().unwrap();
             self.done.store(true, Ordering::Release);
             std::mem::take(&mut *slot)
         };
-        for w in taken {
-            w();
+        for w in first.into_iter().chain(rest) {
+            w.run();
         }
     }
 
@@ -87,24 +116,33 @@ impl EventCore {
     /// may be registered — the engine registers a token route, and a
     /// continuation callback may ride the same event.
     pub fn on_signal(&self, w: impl FnOnce() + Send + 'static) {
+        self.register(Waiter::Run(Box::new(w)));
+    }
+
+    /// Register `w` with [`on_signal`](Self::on_signal)'s guarantees.
+    pub(crate) fn register(&self, w: Waiter) {
         {
             let mut slot = self.waiters.lock().unwrap();
             // Checked under the same lock signal() publishes under, so a
             // waiter registered after the signal fired always runs (below,
             // immediately) and one registered before is always taken by
-            // signal() — no interleaving loses it.
+            // signal() — no interleaving loses it. Before the signal
+            // nothing is removed, so `first` fills before `rest`.
             if !self.done.load(Ordering::Acquire) {
-                slot.push(Box::new(w));
+                match slot.first {
+                    None => slot.first = Some(w),
+                    Some(_) => slot.rest.push(w),
+                }
                 return;
             }
         }
-        w();
+        w.run();
     }
 
     /// Whether any waiter is currently registered and unsignalled (test
     /// and quiescence diagnostics).
     pub fn has_waiter(&self) -> bool {
-        !self.waiters.lock().unwrap().is_empty()
+        self.waiters.lock().unwrap().first.is_some()
     }
 
     /// Block the calling thread — zero CPU — until the event is signalled,
@@ -192,6 +230,7 @@ impl Event {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::GasnexConfig;
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -341,47 +380,101 @@ mod tests {
     fn no_lost_wakeup_across_register_post_interleavings() {
         // Property test for the registration/signal race: k waiters are
         // registered from one thread while another signals at every
-        // possible point of the sequence (before, interleaved, after). In
-        // every interleaving each waiter must run exactly once — none lost
-        // (registered-after-signal must run immediately), none doubled.
+        // possible point of the sequence (before, interleaved, after). Bit
+        // i of `kinds` makes waiter i a token route (`World::route_signal`)
+        // instead of a closure (`on_signal`), so every mix of inline-first
+        // and overflow slots is raced. In every interleaving each closure
+        // must run exactly once and each route must deposit its token
+        // exactly once — none lost (registered-after-signal must run
+        // immediately), none doubled.
         const K: usize = 4;
-        for signal_at in 0..=K {
-            for _ in 0..100 {
-                let core = EventCore::new();
-                let hits: Arc<Vec<AtomicUsize>> =
-                    Arc::new((0..K).map(|_| AtomicUsize::new(0)).collect());
-                let c2 = Arc::clone(&core);
-                let gate = Arc::new(AtomicBool::new(false));
-                let g2 = Arc::clone(&gate);
-                let t = std::thread::spawn(move || {
-                    // Wait for the registering thread to reach signal_at.
-                    while !g2.load(Ordering::Acquire) {
-                        std::hint::spin_loop();
+        let world = World::new(GasnexConfig::smp(1).with_segment_size(1 << 12));
+        let mut next_token = 0u64;
+        let mut drained = Vec::new();
+        for kinds in 0..1u32 << K {
+            for signal_at in 0..=K {
+                for _ in 0..100 {
+                    let core = EventCore::new();
+                    let hits: Arc<Vec<AtomicUsize>> =
+                        Arc::new((0..K).map(|_| AtomicUsize::new(0)).collect());
+                    let c2 = Arc::clone(&core);
+                    let gate = Arc::new(AtomicBool::new(false));
+                    let g2 = Arc::clone(&gate);
+                    let t = std::thread::spawn(move || {
+                        // Wait for the registering thread to reach signal_at.
+                        while !g2.load(Ordering::Acquire) {
+                            std::hint::spin_loop();
+                        }
+                        c2.signal();
+                    });
+                    let mut routed = Vec::new();
+                    for i in 0..K {
+                        if i == signal_at {
+                            gate.store(true, Ordering::Release);
+                        }
+                        if kinds & (1 << i) != 0 {
+                            world.route_signal(&core, Rank(0), next_token);
+                            routed.push(next_token);
+                            next_token += 1;
+                        } else {
+                            let h = Arc::clone(&hits);
+                            core.on_signal(move || {
+                                h[i].fetch_add(1, Ordering::SeqCst);
+                            });
+                        }
                     }
-                    c2.signal();
-                });
-                for i in 0..K {
-                    if i == signal_at {
+                    if signal_at == K {
                         gate.store(true, Ordering::Release);
                     }
-                    let h = Arc::clone(&hits);
-                    core.on_signal(move || {
-                        h[i].fetch_add(1, Ordering::SeqCst);
-                    });
-                }
-                if signal_at == K {
-                    gate.store(true, Ordering::Release);
-                }
-                t.join().unwrap();
-                for (i, h) in hits.iter().enumerate() {
+                    t.join().unwrap();
+                    for (i, h) in hits.iter().enumerate() {
+                        let want = usize::from(kinds & (1 << i) == 0);
+                        assert_eq!(
+                            h.load(Ordering::SeqCst),
+                            want,
+                            "closure {i} (signal raced at registration {signal_at}) \
+                             must run exactly once"
+                        );
+                    }
+                    drained.clear();
+                    world.drain_ready(Rank(0), &mut drained);
+                    drained.sort_unstable();
                     assert_eq!(
-                        h.load(Ordering::SeqCst),
-                        1,
-                        "waiter {i} (signal raced at registration {signal_at}) \
-                         must run exactly once"
+                        drained, routed,
+                        "each routed token (kinds {kinds:#b}, signal at {signal_at}) \
+                         must be deposited exactly once"
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn route_and_closure_waiters_run_in_registration_order() {
+        // One event carrying a token route and a closure, registered in
+        // both orders: the closure sees the token already queued exactly
+        // when the route was registered first.
+        let world = World::new(GasnexConfig::smp(1).with_segment_size(1 << 12));
+        for route_first in [true, false] {
+            let core = EventCore::new();
+            let seen = Arc::new(Mutex::new(None));
+            let register_closure = || {
+                let (w, s) = (Arc::clone(&world), Arc::clone(&seen));
+                core.on_signal(move || *s.lock().unwrap() = Some(w.ready_queued(Rank(0))));
+            };
+            if route_first {
+                world.route_signal(&core, Rank(0), 7);
+                register_closure();
+            } else {
+                register_closure();
+                world.route_signal(&core, Rank(0), 7);
+            }
+            core.signal();
+            let queued_before_closure = usize::from(route_first);
+            assert_eq!(*seen.lock().unwrap(), Some(queued_before_closure));
+            let mut out = Vec::new();
+            assert_eq!(world.drain_ready(Rank(0), &mut out), 1);
+            assert_eq!(out, vec![7]);
         }
     }
 }

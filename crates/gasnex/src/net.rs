@@ -100,8 +100,8 @@ pub struct NetTraceEvent {
 
 /// What a heap entry does when popped. The attempt number lives in the
 /// variants, in the padding beside their flags, so a [`Delivery`] stays at
-/// 72 bytes: `poll` collects due entries into a fresh `Vec`, one
-/// allocation per delivering poll whose size the off-node benchmark counts.
+/// 72 bytes: a poll that finds two or more entries due collects all but
+/// the first into a `Vec`, whose size the heap entry sets.
 enum Payload {
     /// Transmission attempt `attempt`, carrying the delivery action. If
     /// `dropped`, the entry is the retransmission timer for a lost packet:
@@ -273,6 +273,42 @@ impl SimNetwork {
         }
     }
 
+    /// Run one popped heap entry: deliver it, suppress a losing duplicate,
+    /// or reschedule a fired retransmission timer. Called without the
+    /// queue lock: a delivery action may re-inject.
+    fn retire(&self, core: &NetCore, world: &World, d: Delivery) {
+        let Delivery { h, payload, .. } = d;
+        match payload {
+            Payload::Attempt {
+                attempt,
+                dropped: true,
+                action,
+            } => {
+                // Retransmission timer fired: one timer out, one attempt
+                // (or a self-accounted dup pair) in, so `pending` keeps
+                // mirroring the heap length.
+                core.note_retry(&h, attempt + 1);
+                let mut q = self.queue.lock().unwrap();
+                self.schedule_attempt(core, &mut q, h, attempt + 1, action);
+            }
+            Payload::Attempt {
+                attempt,
+                dropped: false,
+                action,
+            } => {
+                let dst = h.route.map(|(_, t)| t);
+                core.deliver(world, h.msg, attempt, h.lclock, Parked { dst, action });
+            }
+            Payload::Copy { attempt, primary } => {
+                // A delivered copy retires its heap entry inside the
+                // core's epilogue; a suppressed one retires it here.
+                if !core.arrive(world, h.msg, attempt, h.lclock, !primary) {
+                    core.pending_gauge().fetch_sub(1, Ordering::SeqCst);
+                }
+            }
+        }
+    }
+
     /// Heap entries currently queued (test hook; takes the queue lock).
     pub fn heap_len(&self) -> usize {
         self.queue.lock().unwrap().len()
@@ -314,9 +350,10 @@ impl Conduit for SimNetwork {
             Ok(q) => q,
             Err(busy) => return busy,
         };
-        if q.is_empty() {
+        let Some(Reverse(head)) = q.peek() else {
             return 0;
-        }
+        };
+        let earliest = head.due_ns;
         let now = match self.cfg.clock {
             ClockMode::Wall => self.epoch.elapsed().as_nanos() as u64,
             ClockMode::Virtual => {
@@ -324,7 +361,6 @@ impl Conduit for SimNetwork {
                 // earliest due time, so jump straight there. The store is
                 // safe because the clock only mutates under the queue lock.
                 let t = self.vclock.load(Ordering::SeqCst);
-                let earliest = q.peek().map_or(t, |Reverse(d)| d.due_ns);
                 if earliest > t {
                     self.vclock.store(earliest, Ordering::SeqCst);
                     earliest
@@ -333,45 +369,25 @@ impl Conduit for SimNetwork {
                 }
             }
         };
-        let mut due = Vec::new();
+        if earliest > now {
+            return 0;
+        }
+        // The first due entry stays in a local, so a poll that delivers
+        // one message allocates nothing; later ones keep `(due, seq)`
+        // order behind it.
+        let Reverse(first) = q.pop().expect("the head was peeked above");
+        let mut rest = Vec::new();
         while let Some(Reverse(d)) = q.peek() {
             if d.due_ns > now {
                 break;
             }
-            due.push(q.pop().unwrap().0);
+            rest.push(q.pop().unwrap().0);
         }
         drop(q); // run actions without holding the lock: they may re-inject
-        let n = due.len();
-        for Delivery { h, payload, .. } in due {
-            match payload {
-                Payload::Attempt {
-                    attempt,
-                    dropped: true,
-                    action,
-                } => {
-                    // Retransmission timer fired: one timer out, one attempt
-                    // (or a self-accounted dup pair) in, so `pending` keeps
-                    // mirroring the heap length.
-                    core.note_retry(&h, attempt + 1);
-                    let mut q = self.queue.lock().unwrap();
-                    self.schedule_attempt(core, &mut q, h, attempt + 1, action);
-                }
-                Payload::Attempt {
-                    attempt,
-                    dropped: false,
-                    action,
-                } => {
-                    let dst = h.route.map(|(_, t)| t);
-                    core.deliver(world, h.msg, attempt, h.lclock, Parked { dst, action });
-                }
-                Payload::Copy { attempt, primary } => {
-                    // A delivered copy retires its heap entry inside the
-                    // core's epilogue; a suppressed one retires it here.
-                    if !core.arrive(world, h.msg, attempt, h.lclock, !primary) {
-                        core.pending_gauge().fetch_sub(1, Ordering::SeqCst);
-                    }
-                }
-            }
+        let n = 1 + rest.len();
+        self.retire(core, world, first);
+        for d in rest {
+            self.retire(core, world, d);
         }
         n
     }
@@ -505,6 +521,45 @@ mod tests {
             w.net().poll(&w);
         }
         assert_eq!(*log.lock().unwrap(), (0..20).collect::<Vec<_>>());
+
+        // One poll that finds several entries due, each at its own time,
+        // plus one that is not: the first due entry is delivered from a
+        // local, the rest from the overflow list, all in `(due, seq)`
+        // order, and the late entry waits out its latency.
+        const LATENCY: std::time::Duration = std::time::Duration::from_millis(50);
+        let w = world_with_net(NetConfig {
+            latency_ns: LATENCY.as_nanos() as u64,
+            jitter_ns: 0,
+            ..NetConfig::default()
+        });
+        let log = std::sync::Arc::new(Mutex::new(Vec::new()));
+        for i in 0..3 {
+            let log = std::sync::Arc::clone(&log);
+            w.net()
+                .inject(Box::new(move |_| log.lock().unwrap().push(i)));
+            std::thread::sleep(std::time::Duration::from_micros(50));
+        }
+        std::thread::sleep(LATENCY);
+        let late_injected = Instant::now();
+        let late_delivered = std::sync::Arc::new(Mutex::new(None));
+        let d = std::sync::Arc::clone(&late_delivered);
+        w.net().inject(Box::new(move |_| {
+            *d.lock().unwrap() = Some(Instant::now());
+        }));
+        assert_eq!(w.net().poll(&w), 3, "one poll delivers every due entry");
+        assert_eq!(*log.lock().unwrap(), vec![0, 1, 2]);
+        assert_eq!(w.net().pending(), 1, "the late entry is not due yet");
+        while w.net().pending() > 0 {
+            w.net().poll(&w);
+        }
+        let at = late_delivered
+            .lock()
+            .unwrap()
+            .expect("late entry delivered");
+        assert!(
+            at.duration_since(late_injected) >= LATENCY,
+            "delivered before its latency passed"
+        );
     }
 
     #[test]

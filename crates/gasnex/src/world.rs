@@ -7,7 +7,7 @@ use crate::am::{AmCtx, AmMsg, AmQueues};
 use crate::clock::LamportClocks;
 use crate::conduit::NetCore;
 use crate::config::GasnexConfig;
-use crate::event::EventCore;
+use crate::event::{EventCore, Waiter};
 use crate::mailbox::ReadyQueue;
 use crate::net::NetAction;
 use crate::notify::NotifyTable;
@@ -234,11 +234,18 @@ impl World {
     /// tokens arrive in signal order, and an already-signalled event
     /// deposits immediately on the calling thread.
     pub fn route_signal(self: &Arc<Self>, ev: &EventCore, initiator: Rank, token: u64) {
-        let world = Arc::clone(self);
-        ev.on_signal(move || {
-            world.net.trace_signal(initiator.0, token);
-            world.ready[initiator.idx()].push(token)
+        ev.register(Waiter::Route {
+            world: Arc::clone(self),
+            rank: initiator,
+            token,
         });
+    }
+
+    /// Run a [`route_signal`](Self::route_signal) waiter: record the
+    /// signal, then push `token` onto `rank`'s ready queue.
+    pub(crate) fn deposit_token(&self, rank: Rank, token: u64) {
+        self.net.trace_signal(rank.0, token);
+        self.ready[rank.idx()].push(token)
     }
 
     /// Drain `me`'s ready queue into `out` (FIFO, bounded to the tokens
